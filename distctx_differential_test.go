@@ -129,7 +129,7 @@ func TestDistctxIncrementalMatchesBatch(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range toTextDocs(docs[20:]) {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}

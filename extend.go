@@ -93,7 +93,7 @@ func (r *Result) BuildHierarchyWithContext(ctx context.Context, method Hierarchy
 			name, strings.Join(hierarchy.Names(), ", "))
 	}
 	terms := r.Terms()
-	docTerms := r.assignDocTerms(terms)
+	docTerms := core.AssignDocTerms(r.sys.corpus, r.inner.Context, r.inner.Corroborated, terms)
 	forest, err := b.Build(ctx, terms, docTerms, r.sys.hierarchyBuildConfig())
 	if err != nil {
 		return nil, err

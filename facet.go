@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -322,7 +321,7 @@ func (s *System) buildResources() []core.Resource {
 // (see StageReport). An empty corpus yields an inert model that answers
 // nil for every term.
 func (s *System) buildDistributional() core.Resource {
-	important, err := core.IdentifyImportantWorkers(context.Background(), s.corpus, s.buildExtractors(), 0, s.opts.Workers)
+	important, _, err := core.IdentifyImportantReport(context.Background(), s.corpus, s.buildExtractors(), 0, s.opts.Workers)
 	if err != nil {
 		important = nil
 	}
@@ -521,41 +520,6 @@ type Node struct {
 // algorithm the paper uses).
 func (r *Result) BuildHierarchy() (*Hierarchy, error) {
 	return r.BuildHierarchyWith("")
-}
-
-// assignDocTerms computes the document-to-facet assignment: terms from
-// the document text, plus context terms corroborated by at least two of
-// the document's important terms (see core.ContextVotes).
-func (r *Result) assignDocTerms(terms []string) [][]string {
-	termSet := map[string]bool{}
-	for _, t := range terms {
-		termSet[t] = true
-	}
-	corpus := r.sys.corpus
-	votes := core.ContextVotes(r.inner.Important, r.inner.Resources, nil)
-	docTerms := make([][]string, corpus.Len())
-	for d := 0; d < corpus.Len(); d++ {
-		present := map[string]bool{}
-		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
-			if s := corpus.Dict().String(id); termSet[s] {
-				present[s] = true
-			}
-		}
-		need := 2
-		if len(r.inner.Important[d]) < 2 {
-			need = 1
-		}
-		for c, v := range votes[d] {
-			if v >= need && termSet[c] {
-				present[c] = true
-			}
-		}
-		for t := range present {
-			docTerms[d] = append(docTerms[d], t)
-		}
-		sort.Strings(docTerms[d])
-	}
-	return docTerms
 }
 
 // Roots returns the top-level facets.

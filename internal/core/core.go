@@ -22,6 +22,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,8 +120,9 @@ type Config struct {
 	// external resources are all dark degrades to corpus-only context
 	// instead of running context-free. Healthy runs never touch it, so
 	// the fault-free output is byte-identical with or without a Fallback.
-	// Fallback is NOT added to Result.Resources: downstream vote-based
-	// document assignment keeps using the primary resources only.
+	// A rescue's context terms vote like any resource's (see ContextRow),
+	// exactly as in live ingestion, so batch and live document
+	// assignment agree under an outage too.
 	Fallback Resource
 	// Metrics, when set, additionally records each stage's duration into
 	// the registry as core.stage.<name> histograms, so long-running
@@ -193,10 +195,10 @@ type Result struct {
 	Important [][]string
 	// Context[i] lists the context terms added to document i.
 	Context [][]string
-	// Resources are the resources the run used; downstream consumers
-	// (hierarchy population, browsing assignment) re-query them through
-	// the shared cache.
-	Resources []Resource
+	// Corroborated[i] lists, ascending, the positions in Context[i] of
+	// the context terms corroborated enough to assign document i to them
+	// (see ContextRow.Finish); AssignDocTerms consumes it.
+	Corroborated [][]int32
 	// NumDocs is the collection size |D|.
 	NumDocs int
 	// Stages reports each pipeline stage's wall-clock cost in execution
@@ -310,7 +312,7 @@ func (p *Pipeline) RunContext(ctx context.Context, corpus *textdb.Corpus) (*Resu
 	observe("identify_important", time.Since(start))
 
 	start = time.Now()
-	contextTerms, resourceDegs, fallbackLookups, err := DeriveContextFallbackReport(ctx, important, p.cfg.Resources, p.cfg.Fallback, p.cache, p.cfg.Workers)
+	exp, err := Expand(ctx, important, p.cfg.Resources, p.cfg.Fallback, p.cache, p.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -320,59 +322,38 @@ func (p *Pipeline) RunContext(ctx context.Context, corpus *textdb.Corpus) (*Resu
 		return nil, err
 	}
 	start = time.Now()
-	res := AnalyzeWith(corpus, contextTerms, p.cfg.TopK, AnalyzeOptions{Workers: p.cfg.Workers})
+	res := AnalyzeWith(corpus, exp.Context, p.cfg.TopK, AnalyzeOptions{Workers: p.cfg.Workers})
 	observe("analyze", time.Since(start))
 
 	res.Important = important
-	res.Context = contextTerms
-	res.Resources = p.cfg.Resources
+	res.Context = exp.Context
+	res.Corroborated = exp.Corroborated
 	res.Stages = timer.Report()
-	res.Degradations = append(extractorDegs, resourceDegs...)
-	res.FallbackLookups = fallbackLookups
+	res.Degradations = append(extractorDegs, exp.Degradations...)
+	res.FallbackLookups = exp.FallbackLookups
 	if p.cfg.Metrics != nil {
 		for _, d := range res.Degradations {
 			p.cfg.Metrics.Counter("core.degraded_lookups." + d.Name).Add(int64(d.Failures))
 		}
-		if fallbackLookups > 0 {
-			p.cfg.Metrics.Counter("core.fallback_lookups").Add(int64(fallbackLookups))
+		if exp.FallbackLookups > 0 {
+			p.cfg.Metrics.Counter("core.fallback_lookups").Add(int64(exp.FallbackLookups))
 		}
 	}
 	return res, nil
 }
 
-// IdentifyImportant is Step 1 (Figure 1): per document, the union of all
-// extractors' terms, first-extractor-first order preserved. maxPerDoc <= 0
-// means no cap.
-func IdentifyImportant(corpus *textdb.Corpus, extractors []Extractor, maxPerDoc int) [][]string {
-	out, _ := IdentifyImportantContext(context.Background(), corpus, extractors, maxPerDoc)
-	return out
-}
-
-// IdentifyImportantContext is IdentifyImportant with cancellation: every
-// worker checks ctx before each document and the first ctx error aborts
-// the run. Documents are sharded across GOMAXPROCS workers; use
-// IdentifyImportantWorkers for an explicit worker count.
-func IdentifyImportantContext(ctx context.Context, corpus *textdb.Corpus, extractors []Extractor, maxPerDoc int) ([][]string, error) {
-	return IdentifyImportantWorkers(ctx, corpus, extractors, maxPerDoc, 0)
-}
-
-// IdentifyImportantWorkers shards Step 1 across a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS, 1 runs sequentially on the calling
-// goroutine): extraction is CPU-bound and per-document independent, and
-// the built-in extractors are read-only after construction. Output is
-// identical for every worker count — each worker writes only its own
-// documents' slots.
-func IdentifyImportantWorkers(ctx context.Context, corpus *textdb.Corpus, extractors []Extractor, maxPerDoc, workers int) ([][]string, error) {
-	out, _, err := IdentifyImportantReport(ctx, corpus, extractors, maxPerDoc, workers)
-	return out, err
-}
-
-// IdentifyImportantReport is IdentifyImportantWorkers with graceful
-// degradation: an extractor that fails for a document (extractors
-// implementing ExtractorErr can) is skipped for that document, the run
-// proceeds with the surviving extractors, and the gap is quantified in
-// the returned Degradations. Plain extractors never fail, so for them
-// this is exactly IdentifyImportantWorkers.
+// IdentifyImportantReport is Step 1 (Figure 1): per document, the union
+// of all extractors' terms, first-extractor-first order preserved.
+// maxPerDoc <= 0 means no cap. Documents shard across a bounded worker
+// pool (workers <= 0 selects GOMAXPROCS, 1 runs sequentially on the
+// calling goroutine); each worker writes only its own documents' slots,
+// so output is identical for every worker count. Every worker checks ctx
+// before each document and the first ctx error aborts the run.
+//
+// Extraction degrades gracefully: an extractor that fails for a document
+// (extractors implementing ExtractorErr can) is skipped for that
+// document, the run proceeds with the surviving extractors, and the gap
+// is quantified in the returned Degradations.
 func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extractors []Extractor, maxPerDoc, workers int) ([][]string, []Degradation, error) {
 	fallible := make([]ExtractorErr, len(extractors))
 	for i, ex := range extractors {
@@ -417,55 +398,46 @@ func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extract
 	return out, mergeDegradations("extractor", degs), nil
 }
 
-// DeriveContext is Step 2 (Figure 2): per document, the union of all
-// resources' context terms for each important term, deduplicated. A nil
-// cache allocates a private one.
-func DeriveContext(important [][]string, resources []Resource, cache *ResourceCache) [][]string {
-	out, _ := DeriveContextContext(context.Background(), important, resources, cache)
-	return out
+// Expansion is Step 2's output over a corpus.
+type Expansion struct {
+	// Context[i] lists the context terms added to document i.
+	Context [][]string
+	// Corroborated[i] lists, ascending, the positions in Context[i] of
+	// document i's corroborated context terms (see ContextRow.Finish).
+	Corroborated [][]int32
+	// Degradations quantifies the resource lookups that failed.
+	Degradations []Degradation
+	// FallbackLookups counts the (document, term) lookups the fallback
+	// resource answered.
+	FallbackLookups int
 }
 
-// DeriveContextContext is DeriveContext with cancellation, checked
-// between documents — a canceled expansion stops after at most one
-// document's resource queries. Documents are sharded across GOMAXPROCS
-// workers; use DeriveContextWorkers for an explicit worker count.
-func DeriveContextContext(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache) ([][]string, error) {
-	return DeriveContextWorkers(ctx, important, resources, cache, 0)
-}
-
-// DeriveContextWorkers shards Step 2 across a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS, 1 runs sequentially). The shared
-// cache is safe for this: lookups are single-flight per (resource,
-// term), so a hot term missed by several workers at once is still
-// derived exactly once. Output is identical for every worker count —
-// per-document rows depend only on that document's important terms.
-func DeriveContextWorkers(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache, workers int) ([][]string, error) {
-	out, _, err := DeriveContextReport(ctx, important, resources, cache, workers)
-	return out, err
-}
-
-// DeriveContextReport is DeriveContextWorkers with graceful degradation:
-// a resource whose lookup fails permanently (resources implementing
-// ResourceErr can — the resilience layer surfaces exhausted retries and
-// open circuits here) contributes nothing for that (document, term)
-// pair, the expansion proceeds with the surviving resources, and the gap
-// is quantified in the returned Degradations. Failed lookups are never
-// cached, so a recovering resource starts answering again immediately.
-func DeriveContextReport(ctx context.Context, important [][]string, resources []Resource, cache *ResourceCache, workers int) ([][]string, []Degradation, error) {
-	out, degs, _, err := DeriveContextFallbackReport(ctx, important, resources, nil, cache, workers)
-	return out, degs, err
-}
-
-// DeriveContextFallbackReport is DeriveContextReport with a last-resort
-// resource: when fallback is non-nil and EVERY primary resource's lookup
-// failed for a (document, term) pair, the fallback is consulted for that
-// term (through the same cache) and its context merged in; the number of
-// such rescues is returned. When no resource fails — or fallback is nil —
-// the output is exactly DeriveContextReport's, so configuring a fallback
-// never perturbs healthy runs. A failing fallback (it can implement
-// ResourceErr too) is recorded in the degradation report like any
-// resource; the pair then completes context-free as before.
-func DeriveContextFallbackReport(ctx context.Context, important [][]string, resources []Resource, fallback Resource, cache *ResourceCache, workers int) ([][]string, []Degradation, int, error) {
+// Expand is Step 2 (Figure 2): per document, the union of all
+// resources' context terms for each important term, deduplicated, and
+// the assignment votes those terms received (ContextRow). Documents
+// shard across a bounded worker pool (workers <= 0 selects GOMAXPROCS, 1
+// runs sequentially); per-document rows depend only on that document's
+// important terms, so output is identical for every worker count.
+// Cancellation is checked between documents. A nil cache allocates a
+// private one; a shared cache is single-flight per (resource, term), so
+// a hot term missed by several workers at once is derived exactly once.
+//
+// Expansion degrades gracefully: a resource whose lookup fails
+// permanently (resources implementing ResourceErr can — the resilience
+// layer surfaces exhausted retries and open circuits here) contributes
+// nothing for that (document, term) pair, the expansion proceeds with the
+// surviving resources, and the gap is quantified in Degradations. Failed
+// lookups are never cached, so a recovering resource starts answering
+// again immediately.
+//
+// When fallback is non-nil and EVERY primary resource failed for a
+// (document, term) pair, the fallback is consulted for that term
+// (through the same cache); its terms merge and vote like any resource's,
+// and the rescues are counted. When no resource fails the output does
+// not depend on fallback, so configuring one never perturbs healthy
+// runs. A failing fallback is recorded in Degradations like any
+// resource; the pair then completes context-free.
+func Expand(ctx context.Context, important [][]string, resources []Resource, fallback Resource, cache *ResourceCache, workers int) (*Expansion, error) {
 	if cache == nil {
 		cache = NewResourceCache()
 	}
@@ -483,21 +455,22 @@ func DeriveContextFallbackReport(ctx context.Context, important [][]string, reso
 		degs[w] = map[string]*degAccum{}
 	}
 	rescues := make([]int, nw)
-	out := make([][]string, len(important))
+	rows := make([]ContextRow, nw)
+	out := &Expansion{
+		Context:      make([][]string, len(important)),
+		Corroborated: make([][]int32, len(important)),
+	}
 	err := parallel.For(ctx, len(important), nw, func(w, i int) {
-		seen := map[string]bool{}
-		failedDoc := map[string]bool{} // resources that already failed for this document
-		var ctxTerms []string
-		merge := func(terms []string) {
-			for _, c := range terms {
-				if c == "" || seen[c] {
-					continue
-				}
-				seen[c] = true
-				ctxTerms = append(ctxTerms, c)
+		row := &rows[w]
+		var failedDoc map[string]bool // resources that already failed for this document
+		fail := func(name string, lerr error) {
+			if failedDoc == nil {
+				failedDoc = map[string]bool{}
 			}
+			recordDeg(degs[w], name, !failedDoc[name], lerr)
+			failedDoc[name] = true
 		}
-		for _, t := range important[i] {
+		for k, t := range important[i] {
 			failed := 0
 			for _, r := range fallible {
 				terms, lerr := cache.LookupErr(ctx, r, t)
@@ -505,13 +478,11 @@ func DeriveContextFallbackReport(ctx context.Context, important [][]string, reso
 					if ctx.Err() != nil {
 						return // cancellation, not a dependency failure
 					}
-					name := r.Name()
-					recordDeg(degs[w], name, !failedDoc[name], lerr)
-					failedDoc[name] = true
+					fail(r.Name(), lerr)
 					failed++
 					continue
 				}
-				merge(terms)
+				row.Add(k, terms)
 			}
 			if fallbackErr != nil && len(fallible) > 0 && failed == len(fallible) {
 				terms, lerr := cache.LookupErr(ctx, fallbackErr, t)
@@ -519,25 +490,142 @@ func DeriveContextFallbackReport(ctx context.Context, important [][]string, reso
 					if ctx.Err() != nil {
 						return
 					}
-					name := fallbackErr.Name()
-					recordDeg(degs[w], name, !failedDoc[name], lerr)
-					failedDoc[name] = true
+					fail(fallbackErr.Name(), lerr)
 					continue
 				}
 				rescues[w]++
-				merge(terms)
+				row.Add(k, terms)
 			}
 		}
-		out[i] = ctxTerms
+		out.Context[i], out.Corroborated[i] = row.Finish(len(important[i]))
 	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rescues {
+		out.FallbackLookups += r
+	}
+	out.Degradations = mergeDegradations("resource", degs)
+	return out, nil
+}
+
+// DeriveContextFallbackReport is Expand without the corroboration
+// output, returned as separate values. It stays because the benchmark
+// module (perfbench/) drives Step 2 through this exact signature.
+func DeriveContextFallbackReport(ctx context.Context, important [][]string, resources []Resource, fallback Resource, cache *ResourceCache, workers int) ([][]string, []Degradation, int, error) {
+	exp, err := Expand(ctx, important, resources, fallback, cache, workers)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	total := 0
-	for _, r := range rescues {
-		total += r
+	return exp.Context, exp.Degradations, exp.FallbackLookups, nil
+}
+
+// ContextRow accumulates one document's Step-2 expansion: the union of
+// every resource's context terms, deduplicated in first-seen order, and
+// for each term the number of distinct important terms that voted for it.
+// The batch pipeline (Expand) and live ingestion both expand documents
+// through it, so they agree on C(D) and on the document-to-facet
+// assignment. The zero value is ready to use; Finish resets it.
+type ContextRow struct {
+	terms []string
+	pos   map[string]int32 // context term -> index in terms
+	votes []int32          // votes[j]: important terms that voted for terms[j]
+	voter []int            // voter[j]: 1 + index of the last important term that voted for terms[j]
+}
+
+// Add merges one resource's context terms for the document's k-th
+// important term. Each important term casts one vote per context term,
+// however many resources return it.
+func (r *ContextRow) Add(k int, context []string) {
+	if r.pos == nil {
+		r.pos = map[string]int32{}
 	}
-	return out, mergeDegradations("resource", degs), total, nil
+	for _, c := range context {
+		if c == "" {
+			continue
+		}
+		j, ok := r.pos[c]
+		if !ok {
+			j = int32(len(r.terms))
+			r.pos[c] = j
+			r.terms = append(r.terms, c)
+			r.votes = append(r.votes, 0)
+			r.voter = append(r.voter, 0)
+		}
+		if r.voter[j] != k+1 {
+			r.voter[j] = k + 1
+			r.votes[j]++
+		}
+	}
+}
+
+// Finish returns the document's context terms and the ascending
+// positions among them of its corroborated terms, and resets the row for
+// the next document. numImportant is the document's important-term
+// count. A context term is corroborated when at least two distinct
+// important terms voted for it (one when the document has fewer than two
+// important terms): a facet term describes a document through context
+// only when several of the document's own important terms independently
+// pull it in, which keeps one stray entity mention from tagging the story
+// with a whole unrelated dimension.
+func (r *ContextRow) Finish(numImportant int) (terms []string, corroborated []int32) {
+	need := int32(2)
+	if numImportant < 2 {
+		need = 1
+	}
+	n := 0
+	for _, v := range r.votes {
+		if v >= need {
+			n++
+		}
+	}
+	if n > 0 {
+		corroborated = make([]int32, 0, n)
+		for j, v := range r.votes {
+			if v >= need {
+				corroborated = append(corroborated, int32(j))
+			}
+		}
+	}
+	terms = r.terms
+	r.terms = nil
+	clear(r.pos)
+	r.votes, r.voter = r.votes[:0], r.voter[:0]
+	return terms, corroborated
+}
+
+// AssignDocTerms is the document-to-facet assignment behind hierarchy
+// population and browsing: document d carries every term of terms that
+// occurs in its own text, plus each of its corroborated context terms
+// (context[d] at the positions corroborated[d], as Step 2 reports them)
+// that is in terms. Rows are sorted; a document no term describes has a
+// nil row.
+func AssignDocTerms(corpus *textdb.Corpus, context [][]string, corroborated [][]int32, terms []string) [][]string {
+	termSet := make(map[string]bool, len(terms))
+	for _, t := range terms {
+		termSet[t] = true
+	}
+	dict := corpus.Dict()
+	out := make([][]string, corpus.Len())
+	var row []string
+	for d := range out {
+		row = row[:0]
+		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
+			if s := dict.String(id); termSet[s] {
+				row = append(row, s)
+			}
+		}
+		for _, j := range corroborated[d] {
+			if c := context[d][j]; termSet[c] {
+				row = append(row, c)
+			}
+		}
+		if len(row) > 0 {
+			sort.Strings(row)
+			out[d] = slices.Clone(slices.Compact(row))
+		}
+	}
+	return out
 }
 
 // AnalyzeOptions selects variants of Step 3 for ablation studies. The
@@ -601,37 +689,6 @@ func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []t
 		}
 	}
 	return dst
-}
-
-// ContextVotes returns, per document, how many distinct important terms
-// contributed each context term (through any resource). The pipeline's
-// Step 3 uses the flat union (DeriveContext); document-to-facet
-// ASSIGNMENT for hierarchy population and browsing uses these vote
-// counts: a facet term describes a document only when several of the
-// document's own important terms independently pull it in, which keeps
-// one stray entity mention from tagging the story with a whole unrelated
-// dimension.
-func ContextVotes(important [][]string, resources []Resource, cache *ResourceCache) []map[string]int {
-	if cache == nil {
-		cache = NewResourceCache()
-	}
-	out := make([]map[string]int, len(important))
-	for i, terms := range important {
-		votes := map[string]int{}
-		for _, t := range terms {
-			seen := map[string]bool{}
-			for _, r := range resources {
-				for _, c := range cache.Lookup(r, t) {
-					if c != "" && !seen[c] {
-						seen[c] = true
-						votes[c]++
-					}
-				}
-			}
-		}
-		out[i] = votes
-	}
-	return out
 }
 
 // Analyze is Step 3 (Figure 3): comparative term-frequency analysis over

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -285,6 +286,15 @@ func TestGlossaryResource(t *testing.T) {
 	}
 }
 
+// corroboratedTerms resolves Step 2's corroboration positions to terms.
+func corroboratedTerms(exp *Expansion, d int) []string {
+	var out []string
+	for _, j := range exp.Corroborated[d] {
+		out = append(out, exp.Context[d][j])
+	}
+	return out
+}
+
 func TestContextVotes(t *testing.T) {
 	res := &fakeResource{name: "r", ctx: map[string][]string{
 		"chirac": {"politics", "france"},
@@ -295,39 +305,34 @@ func TestContextVotes(t *testing.T) {
 		{"chirac"},
 		{},
 	}
-	votes := ContextVotes(important, []Resource{res}, nil)
-	if votes[0]["politics"] != 2 || votes[0]["france"] != 1 || votes[0]["germany"] != 1 {
-		t.Fatalf("doc 0 votes = %v", votes[0])
+	exp, err := Expand(context.Background(), important, []Resource{res}, nil, nil, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if votes[1]["politics"] != 1 {
-		t.Fatalf("doc 1 votes = %v", votes[1])
+	// Two important terms: only the twice-voted term is corroborated.
+	if got := corroboratedTerms(exp, 0); !reflect.DeepEqual(got, []string{"politics"}) {
+		t.Fatalf("doc 0 corroborated = %v, context %v", got, exp.Context[0])
 	}
-	if len(votes[2]) != 0 {
-		t.Fatalf("doc 2 votes = %v", votes[2])
+	// One important term: a single vote suffices.
+	if got := corroboratedTerms(exp, 1); !reflect.DeepEqual(got, []string{"politics", "france"}) {
+		t.Fatalf("doc 1 corroborated = %v", got)
+	}
+	if len(exp.Context[2]) != 0 || len(exp.Corroborated[2]) != 0 {
+		t.Fatalf("doc 2 context = %v, corroborated = %v", exp.Context[2], exp.Corroborated[2])
 	}
 }
 
 func TestContextVotesResourceDedup(t *testing.T) {
 	// Two resources returning the same context term for the same important
 	// term count as ONE vote: votes measure distinct important terms.
-	r1 := &fakeResource{name: "a", ctx: map[string][]string{"x": {"general"}}}
+	r1 := &fakeResource{name: "a", ctx: map[string][]string{"x": {"general"}, "y": {"other"}}}
 	r2 := &fakeResource{name: "b", ctx: map[string][]string{"x": {"general"}}}
-	votes := ContextVotes([][]string{{"x"}}, []Resource{r1, r2}, nil)
-	if votes[0]["general"] != 1 {
-		t.Fatalf("votes = %v, want 1 (deduped across resources)", votes[0])
-	}
-}
-
-func TestResultResourcesRecorded(t *testing.T) {
-	corpus := miniCorpus("alpha beta")
-	res := &fakeResource{name: "r", ctx: map[string][]string{}}
-	p, _ := New(Config{Extractors: []Extractor{fakeExtractor{name: "a", terms: []string{"alpha"}}}, Resources: []Resource{res}})
-	result, err := p.Run(corpus)
+	exp, err := Expand(context.Background(), [][]string{{"x", "y"}}, []Resource{r1, r2}, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(result.Resources) != 1 || result.Resources[0].Name() != "r" {
-		t.Fatal("resources not recorded on result")
+	if got := corroboratedTerms(exp, 0); len(got) != 0 {
+		t.Fatalf("corroborated = %v, want none (one vote each, deduped across resources)", got)
 	}
 }
 
@@ -371,9 +376,9 @@ func TestIdentifyImportantParallelMatchesSequential(t *testing.T) {
 	}
 	corpus := miniCorpus(texts...)
 	ex := fakeExtractor{name: "a", terms: []string{"alpha", "beta", "gamma"}}
-	parallel := IdentifyImportant(corpus, []Extractor{ex}, 0)
+	parallel, _, _ := IdentifyImportantReport(context.Background(), corpus, []Extractor{ex}, 0, 0)
 	runtime.GOMAXPROCS(1)
-	sequential := IdentifyImportant(corpus, []Extractor{ex}, 0)
+	sequential, _, _ := IdentifyImportantReport(context.Background(), corpus, []Extractor{ex}, 0, 0)
 	if !reflect.DeepEqual(parallel, sequential) {
 		t.Fatal("parallel and sequential extraction differ")
 	}

@@ -57,8 +57,8 @@ func TestFallbackUntouchedOnHealthyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, _, err2 := DeriveContextReport(context.Background(), important,
-		[]Resource{okRes{"live"}}, nil, 2)
+	without, _, _, err2 := DeriveContextFallbackReport(context.Background(), important,
+		[]Resource{okRes{"live"}}, nil, nil, 2)
 	if err2 != nil {
 		t.Fatal(err2)
 	}

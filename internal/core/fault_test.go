@@ -154,7 +154,7 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("succ=%d panicked=%d, want %d/1", succ.Load(), panicked.Load(), waiters-1)
 	}
 	// And the cache is usable afterwards.
-	if out := c.Lookup(r, "jazz"); len(out) != 1 {
+	if out, err := c.LookupErr(context.Background(), r, "jazz"); err != nil || len(out) != 1 {
 		t.Fatalf("post-panic lookup = %v", out)
 	}
 }
@@ -227,11 +227,12 @@ func TestDeriveContextReportDegradation(t *testing.T) {
 		{"gamma"},
 	}
 	for _, workers := range []int{1, 4} {
-		out, degs, err := DeriveContextReport(context.Background(), important,
-			[]Resource{downRes{"dead"}, okRes{"live"}}, nil, workers)
+		exp, err := Expand(context.Background(), important,
+			[]Resource{downRes{"dead"}, okRes{"live"}}, nil, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		out, degs := exp.Context, exp.Degradations
 		// The run proceeds on the surviving resource.
 		if len(out[0]) == 0 || out[0][0] != "live of alpha" {
 			t.Fatalf("workers=%d: out[0] = %v", workers, out[0])
@@ -332,11 +333,11 @@ func TestDegradationSkipsCancellation(t *testing.T) {
 	important := [][]string{{"a"}, {"b"}, {"c"}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, degs, err := DeriveContextReport(ctx, important, []Resource{okRes{"live"}}, nil, 2)
+	exp, err := Expand(ctx, important, []Resource{okRes{"live"}}, nil, nil, 2)
 	if err == nil {
 		t.Fatal("want error from canceled run")
 	}
-	if len(degs) != 0 {
-		t.Fatalf("cancellation produced degradations: %+v", degs)
+	if exp != nil {
+		t.Fatalf("canceled run returned an expansion: %+v", exp)
 	}
 }

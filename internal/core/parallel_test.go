@@ -49,7 +49,7 @@ func TestResourceCacheConcurrentHammer(t *testing.T) {
 			<-start
 			for i := 0; i < iters; i++ {
 				term := fmt.Sprintf("term%02d", (g+i)%distinctTerms)
-				got := cache.Lookup(res, term)
+				got, _ := cache.LookupErr(context.Background(), AsResourceErr(res), term)
 				if len(got) != 2 || got[0] != "ctx-a-"+term {
 					t.Errorf("wrong context for %q: %v", term, got)
 					return
@@ -99,7 +99,10 @@ func TestResourceCacheSingleFlightSharesInFlightDerivation(t *testing.T) {
 	cache := NewResourceCache()
 
 	first := make(chan []string, 1)
-	go func() { first <- cache.Lookup(res, "hot") }()
+	go func() {
+		out, _ := cache.LookupErr(context.Background(), AsResourceErr(res), "hot")
+		first <- out
+	}()
 	<-res.started // the derivation is in flight
 
 	var wg sync.WaitGroup
@@ -108,7 +111,7 @@ func TestResourceCacheSingleFlightSharesInFlightDerivation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = cache.Lookup(res, "hot")
+			results[i], _ = cache.LookupErr(context.Background(), AsResourceErr(res), "hot")
 		}(i)
 	}
 	close(res.release)
@@ -147,12 +150,12 @@ func workerCorpus(t *testing.T) (*textdb.Corpus, []Extractor, []Resource) {
 
 func TestIdentifyImportantWorkersEquivalence(t *testing.T) {
 	corpus, exs, _ := workerCorpus(t)
-	seq, err := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, 1)
+	seq, _, err := IdentifyImportantReport(context.Background(), corpus, exs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 16} {
-		par, err := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, workers)
+		par, _, err := IdentifyImportantReport(context.Background(), corpus, exs, 0, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,29 +167,30 @@ func TestIdentifyImportantWorkersEquivalence(t *testing.T) {
 
 func TestDeriveContextWorkersEquivalence(t *testing.T) {
 	corpus, exs, ress := workerCorpus(t)
-	important, err := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, 1)
+	important, _, err := IdentifyImportantReport(context.Background(), corpus, exs, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := DeriveContextWorkers(context.Background(), important, ress, nil, 1)
+	seq, err := Expand(context.Background(), important, ress, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := DeriveContextWorkers(context.Background(), important, ress, NewResourceCache(), workers)
+		par, err := Expand(context.Background(), important, ress, nil, NewResourceCache(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d: context rows diverge from sequential", workers)
+			t.Fatalf("workers=%d: context rows or corroboration diverge from sequential", workers)
 		}
 	}
 }
 
 func TestAnalyzeWithWorkersEquivalence(t *testing.T) {
 	corpus, exs, ress := workerCorpus(t)
-	important, _ := IdentifyImportantWorkers(context.Background(), corpus, exs, 0, 1)
-	ctxRows, _ := DeriveContextWorkers(context.Background(), important, ress, nil, 1)
+	important, _, _ := IdentifyImportantReport(context.Background(), corpus, exs, 0, 1)
+	exp, _ := Expand(context.Background(), important, ress, nil, nil, 1)
+	ctxRows := exp.Context
 	seq := AnalyzeWith(corpus, ctxRows, 0, AnalyzeOptions{Workers: 1})
 	for _, workers := range []int{2, 4, 16} {
 		par := AnalyzeWith(corpus, ctxRows, 0, AnalyzeOptions{Workers: workers})

@@ -90,8 +90,8 @@ type Model struct {
 	neighbors map[string][]string
 }
 
-// Name reports the resource name for degradation records, cache keys,
-// and the Result.Resources list.
+// Name reports the resource name for degradation records and cache
+// keys.
 func (m *Model) Name() string { return m.name }
 
 // Context returns the term's top-N distributional neighbors (nil when
@@ -115,7 +115,7 @@ func (m *Model) Len() int {
 }
 
 // Build constructs the model from per-document important-term lists —
-// the exact [][]string that core.IdentifyImportant produces — so the
+// the exact [][]string that core.IdentifyImportantReport produces — so the
 // corpus-only path reuses Step 1's output rather than re-tokenizing.
 // Duplicate terms within a document are collapsed (document frequency
 // semantics: a pair co-occurs at most once per document), preserving

@@ -37,7 +37,10 @@ func Ablation(dr *DataRun, topK int) (*AblationResult, error) {
 		topK = 100
 	}
 	important := dr.Important(ExtAll)
-	context := core.DeriveContext(important, dr.Lab.Resources(ResourceOrder...), labCache(dr))
+	exp, err := core.Expand(context.Background(), important, dr.Lab.Resources(ResourceOrder...), nil, labCache(dr), 0)
+	if err != nil {
+		return nil, err
+	}
 	gt := dr.Pool.BuildGroundTruth(dr.DS, dr.SampleIndices(1000))
 
 	variants := []struct {
@@ -55,7 +58,7 @@ func Ablation(dr *DataRun, topK int) (*AblationResult, error) {
 	}
 	res := &AblationResult{}
 	for _, v := range variants {
-		r := core.AnalyzeWith(dr.DS.Corpus, context, topK, v.opts)
+		r := core.AnalyzeWith(dr.DS.Corpus, exp.Context, topK, v.opts)
 		terms := r.FacetTermStrings()
 		res.Variants = append(res.Variants, AblationVariant{
 			Name:       v.name,
@@ -154,14 +157,14 @@ func ResourceAblation(ctx context.Context, dr *DataRun, topK, workers int) (*Res
 			return nil, err
 		}
 		start := time.Now()
-		context, _, err := core.DeriveContextReport(ctx, important, s.resources, labCache(dr), workers)
+		exp, err := core.Expand(ctx, important, s.resources, nil, labCache(dr), workers)
 		if err != nil {
 			return nil, err
 		}
-		r := core.AnalyzeWith(dr.DS.Corpus, context, topK, core.AnalyzeOptions{Workers: workers})
+		r := core.AnalyzeWith(dr.DS.Corpus, exp.Context, topK, core.AnalyzeOptions{Workers: workers})
 		r.Important = important
-		r.Context = context
-		r.Resources = s.resources
+		r.Context = exp.Context
+		r.Corroborated = exp.Corroborated
 		terms := r.FacetTermStrings()
 		forest, err := BuildForest(dr, r, topK)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hierarchy"
 )
 
@@ -42,7 +43,7 @@ func HierarchyBakeoff(ctx context.Context, dr *DataRun, opts BakeoffOptions) (*B
 	}
 	result := dr.RunCell(ExtAll, ResAll, topK)
 	terms := result.FacetTermStrings()
-	docTerms := ExpandedDocTerms(dr, result, terms)
+	docTerms := core.AssignDocTerms(dr.DS.Corpus, result.Context, result.Corroborated, terms)
 
 	cfg := hierarchy.BuildConfig{
 		Workers: opts.Workers,

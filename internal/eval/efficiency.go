@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -121,7 +122,9 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 					seen[t] = true
 					queries++
 				}
-				cache.Lookup(r, t)
+				if _, err := cache.LookupErr(context.Background(), core.AsResourceErr(r), t); err != nil {
+					return nil, fmt.Errorf("eval: %s(%q): %w", name, t, err)
+				}
 			}
 		}
 		rep.Resources = append(rep.Resources, StageCost{
@@ -134,31 +137,18 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 	clock.Reset()
 
 	// Facet selection (Step 3) on the sample with all resources.
-	context := core.DeriveContext(importantAll, dr.Lab.Resources(ResourceOrder...), dr.Lab.cache)
+	exp, err := core.Expand(context.Background(), importantAll, dr.Lab.Resources(ResourceOrder...), nil, dr.Lab.cache, 0)
+	if err != nil {
+		return nil, err
+	}
 	sub := subCorpus(corpus, sampleDocs)
 	start = time.Now()
-	result := core.Analyze(sub, context, 200)
+	result := core.Analyze(sub, exp.Context, 200)
 	rep.FacetSelection = time.Since(start)
 
 	// Hierarchy construction over the selected terms.
 	terms := result.FacetTermStrings()
-	docTerms := make([][]string, sampleDocs)
-	termSet := map[string]bool{}
-	for _, t := range terms {
-		termSet[t] = true
-	}
-	for d := 0; d < sampleDocs; d++ {
-		for _, id := range sub.DocTerms(textdb.DocID(d)) {
-			if s := sub.Dict().String(id); termSet[s] {
-				docTerms[d] = append(docTerms[d], s)
-			}
-		}
-		for _, c := range context[d] {
-			if termSet[c] {
-				docTerms[d] = append(docTerms[d], c)
-			}
-		}
-	}
+	docTerms := core.AssignDocTerms(sub, exp.Context, exp.Corroborated, terms)
 	start = time.Now()
 	if _, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{}); err != nil {
 		return nil, err

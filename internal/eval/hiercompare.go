@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/hierarchy"
 )
 
@@ -95,7 +96,7 @@ func CompareHierarchies(dr *DataRun, topK int) (*HierarchyComparison, error) {
 	}
 	result := dr.RunCell(ExtAll, ResAll, topK)
 	terms := result.FacetTermStrings()
-	docTerms := ExpandedDocTerms(dr, result, terms)
+	docTerms := core.AssignDocTerms(dr.DS.Corpus, result.Context, result.Corroborated, terms)
 
 	subsumption, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{})
 	if err != nil {

@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -200,7 +201,9 @@ func (dr *DataRun) Important(extractor string) [][]string {
 			}
 		}
 	} else {
-		out = core.IdentifyImportant(dr.DS.Corpus, []core.Extractor{dr.Extractor(extractor)}, 0)
+		// Step 1 fails only on cancellation, and a background context
+		// never cancels.
+		out, _, _ = core.IdentifyImportantReport(context.Background(), dr.DS.Corpus, []core.Extractor{dr.Extractor(extractor)}, 0, 0)
 	}
 	dr.important[extractor] = out
 	return out
@@ -218,11 +221,13 @@ func (dr *DataRun) resourceSet(resource string) []core.Resource {
 // config) cell and returns the analysis result.
 func (dr *DataRun) RunCell(extractor, resource string, topK int) *core.Result {
 	important := dr.Important(extractor)
-	context := core.DeriveContext(important, dr.resourceSet(resource), dr.Lab.cache)
-	res := core.AnalyzeWith(dr.DS.Corpus, context, topK, core.AnalyzeOptions{})
+	// Step 2 fails only on cancellation, and a background context never
+	// cancels.
+	exp, _ := core.Expand(context.Background(), important, dr.resourceSet(resource), nil, dr.Lab.cache, 0)
+	res := core.AnalyzeWith(dr.DS.Corpus, exp.Context, topK, core.AnalyzeOptions{})
 	res.Important = important
-	res.Context = context
-	res.Resources = dr.resourceSet(resource)
+	res.Context = exp.Context
+	res.Corroborated = exp.Corroborated
 	return res
 }
 

@@ -2,11 +2,9 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/hierarchy"
-	"repro/internal/textdb"
 )
 
 // PrecisionConfig parameterizes the precision experiments (Tables V–VII).
@@ -24,57 +22,15 @@ func (c *PrecisionConfig) defaults() {
 // BuildForest constructs the facet hierarchy for a pipeline result using
 // the paper's subsumption algorithm over the contextualized database
 // (each document's term set = original terms plus corroborated context
-// terms).
+// terms, core.AssignDocTerms). result must carry the Context and
+// Corroborated fields of the run that produced it.
 func BuildForest(dr *DataRun, result *core.Result, topK int) (*hierarchy.Forest, error) {
 	terms := result.FacetTermStrings()
 	if topK < len(terms) {
 		terms = terms[:topK]
 	}
-	docTerms := ExpandedDocTerms(dr, result, terms)
+	docTerms := core.AssignDocTerms(dr.DS.Corpus, result.Context, result.Corroborated, terms)
 	return hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{})
-}
-
-// assignmentVotes is the corroboration requirement for context-based
-// document-to-facet assignment (see core.ContextVotes).
-const assignmentVotes = 2
-
-// ExpandedDocTerms lists, per document, which of the given terms describe
-// the document: terms occurring in its text, plus context terms
-// corroborated by at least assignmentVotes of the document's important
-// terms. This is the co-occurrence basis for subsumption and for the
-// faceted-browsing document assignment. result must carry the Important
-// and Resources fields of the run that produced it.
-func ExpandedDocTerms(dr *DataRun, result *core.Result, terms []string) [][]string {
-	termSet := map[string]bool{}
-	for _, t := range terms {
-		termSet[t] = true
-	}
-	votes := core.ContextVotes(result.Important, result.Resources, labCache(dr))
-	corpus := dr.DS.Corpus
-	out := make([][]string, corpus.Len())
-	for d := 0; d < corpus.Len(); d++ {
-		present := map[string]bool{}
-		for _, id := range corpus.DocTerms(textdb.DocID(d)) {
-			s := corpus.Dict().String(id)
-			if termSet[s] {
-				present[s] = true
-			}
-		}
-		need := assignmentVotes
-		if len(result.Important[d]) < 2 {
-			need = 1
-		}
-		for c, v := range votes[d] {
-			if v >= need && termSet[c] {
-				present[c] = true
-			}
-		}
-		for s := range present {
-			out[d] = append(out[d], s)
-		}
-		sort.Strings(out[d])
-	}
-	return out
 }
 
 // PrecisionTable reproduces one of Tables V/VI/VII: for every cell, the

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/browse"
+	"repro/internal/core"
 	"repro/internal/userstudy"
 )
 
@@ -32,7 +33,7 @@ func UserStudy(dr *DataRun, topK int, seed uint64) (*UserStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	docTerms := ExpandedDocTerms(dr, result, result.FacetTermStrings())
+	docTerms := core.AssignDocTerms(dr.DS.Corpus, result.Context, result.Corroborated, result.FacetTermStrings())
 	iface, err := browse.Build(dr.DS.Corpus, forest, docTerms)
 	if err != nil {
 		return nil, err

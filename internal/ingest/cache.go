@@ -40,15 +40,6 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// Lookup returns the context terms for (resource, term), querying the
-// resource on a miss. Failures (for resources that also implement
-// core.ResourceErr) are reported as empty context; use LookupErr to
-// observe them.
-func (c *lruCache) Lookup(r core.Resource, term string) []string {
-	out, _ := c.LookupErr(context.Background(), core.AsResourceErr(r), term)
-	return out
-}
-
 // LookupErr returns the context terms for (resource, term), querying the
 // fallible resource on a miss. Errors are returned to the caller and
 // NEVER cached — a failed expansion is retried on the next lookup, so a

@@ -1,13 +1,15 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// countingResource counts real Context calls so tests can observe misses.
+// countingResource counts real ContextErr calls so tests can observe
+// misses.
 type countingResource struct {
 	name  string
 	calls atomic.Int64
@@ -15,22 +17,23 @@ type countingResource struct {
 
 func (r *countingResource) Name() string { return r.name }
 
-func (r *countingResource) Context(term string) []string {
+func (r *countingResource) ContextErr(_ context.Context, term string) ([]string, error) {
 	r.calls.Add(1)
-	return []string{"ctx-" + term}
+	return []string{"ctx-" + term}, nil
 }
 
 func TestLRUCacheHitsAndEviction(t *testing.T) {
+	ctx := context.Background()
 	r := &countingResource{name: "r"}
 	c := newLRUCache(2)
 
-	c.Lookup(r, "a") // miss
-	c.Lookup(r, "a") // hit
-	c.Lookup(r, "b") // miss
-	c.Lookup(r, "a") // hit — refreshes a's recency
-	c.Lookup(r, "c") // miss — evicts b (LRU)
-	c.Lookup(r, "a") // hit — a survived
-	c.Lookup(r, "b") // miss — b was evicted
+	c.LookupErr(ctx, r, "a") // miss
+	c.LookupErr(ctx, r, "a") // hit
+	c.LookupErr(ctx, r, "b") // miss
+	c.LookupErr(ctx, r, "a") // hit — refreshes a's recency
+	c.LookupErr(ctx, r, "c") // miss — evicts b (LRU)
+	c.LookupErr(ctx, r, "a") // hit — a survived
+	c.LookupErr(ctx, r, "b") // miss — b was evicted
 
 	hits, misses := c.Counters()
 	if hits != 3 || misses != 4 {
@@ -47,9 +50,10 @@ func TestLRUCacheHitsAndEviction(t *testing.T) {
 func TestLRUCacheKeysByResource(t *testing.T) {
 	a := &countingResource{name: "a"}
 	b := &countingResource{name: "b"}
+	ctx := context.Background()
 	c := newLRUCache(8)
-	c.Lookup(a, "term")
-	c.Lookup(b, "term")
+	c.LookupErr(ctx, a, "term")
+	c.LookupErr(ctx, b, "term")
 	if a.calls.Load() != 1 || b.calls.Load() != 1 {
 		t.Fatalf("same-term lookups collided across resources: a=%d b=%d", a.calls.Load(), b.calls.Load())
 	}
@@ -67,8 +71,8 @@ func TestLRUCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				term := fmt.Sprintf("t%d", (g+i)%32) // half fit, half churn
-				got := c.Lookup(r, term)
-				if len(got) != 1 || got[0] != "ctx-"+term {
+				got, err := c.LookupErr(context.Background(), r, term)
+				if err != nil || len(got) != 1 || got[0] != "ctx-"+term {
 					t.Errorf("wrong context for %s: %v", term, got)
 					return
 				}

@@ -116,7 +116,7 @@ func TestDifferentialAcrossEpochSwap(t *testing.T) {
 
 			ing.Start()
 			for _, d := range docs[10:] {
-				if err := ing.SubmitWait(context.Background(), d); err != nil {
+				if err := ing.SubmitContext(context.Background(), d); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -64,7 +64,7 @@ func TestDeadLetterAndRetry(t *testing.T) {
 	res.down.Store(true)
 	docs := testDocs(5)
 	for _, d := range docs[3:5] {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestDeadLetterBounded(t *testing.T) {
 	res.down.Store(true)
 	docs := testDocs(6)
 	for _, d := range docs[2:6] {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}

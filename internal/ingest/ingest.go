@@ -54,7 +54,8 @@ var (
 
 // Config assembles an Ingester. Extractors and Resources must be safe for
 // concurrent use (the built-in substrates are read-only after
-// construction; core.IdentifyImportant already shards them the same way).
+// construction; core.IdentifyImportantReport already shards them the
+// same way).
 type Config struct {
 	Extractors []core.Extractor
 	Resources  []core.Resource
@@ -86,7 +87,7 @@ type Config struct {
 	// Workers sizes the intake pool (0 = GOMAXPROCS).
 	Workers int
 	// QueueSize bounds the intake queue (0 = 1024). A full queue pushes
-	// back on producers: Submit fails fast, SubmitWait blocks.
+	// back on producers: Submit fails fast, SubmitContext blocks.
 	QueueSize int
 
 	// EpochDocs triggers a rebuild epoch once this many documents have
@@ -151,15 +152,15 @@ type Ingester struct {
 	// mu guards the incremental pipeline state: the growing corpus, the
 	// per-document extraction results, and the DF delta tables. Workers
 	// do extraction and expansion lock-free and only merge under mu.
-	mu          sync.Mutex
-	corpus      *textdb.Corpus
-	important   [][]string       // important[d]: Fig. 1 output for doc d
-	votes       []map[string]int // votes[d]: context-term corroboration counts
-	dfD         *textdb.DFTable  // document frequencies over D
-	dfC         *textdb.DFTable  // document frequencies over C(D)
-	ctxTerms    map[textdb.TermID]bool
-	pending     []*textdb.Document // accepted but not yet persisted
-	unpublished int                // accepted but not yet in the served interface
+	mu           sync.Mutex
+	corpus       *textdb.Corpus
+	context      [][]string      // context[d]: Fig. 2 output for doc d
+	corroborated [][]int32       // corroborated[d]: positions in context[d] (core.ContextRow)
+	dfD          *textdb.DFTable // document frequencies over D
+	dfC          *textdb.DFTable // document frequencies over C(D)
+	ctxTerms     map[textdb.TermID]bool
+	pending      []*textdb.Document // accepted but not yet persisted
+	unpublished  int                // accepted but not yet in the served interface
 	// Reusable expansion state for admit (guarded by mu like the tables
 	// it feeds): documents arrive one at a time under the lock, so one
 	// scratch map and one row buffer serve every admission allocation-free
@@ -290,9 +291,8 @@ func (ing *Ingester) RegisterMetrics(reg *obsv.Registry) {
 
 // analysis is the lock-free part of processing one document.
 type analysis struct {
-	important []string
-	ctx       []string
-	votes     map[string]int
+	ctx          []string
+	corroborated []int32
 }
 
 // analyze runs Fig. 1 (important-term identification, the union of all
@@ -325,25 +325,8 @@ func (ing *Ingester) analyze(ctx context.Context, doc *textdb.Document) (analysi
 	if max := ing.cfg.MaxImportantPerDoc; max > 0 && len(terms) > max {
 		terms = terms[:max]
 	}
-	a := analysis{important: terms, votes: map[string]int{}}
-	seenCtx := map[string]bool{}
-	for _, t := range terms {
-		seenTerm := map[string]bool{}
-		merge := func(lookedUp []string) {
-			for _, c := range lookedUp {
-				if c == "" {
-					continue
-				}
-				if !seenTerm[c] { // one vote per (important term, context term)
-					seenTerm[c] = true
-					a.votes[c]++
-				}
-				if !seenCtx[c] {
-					seenCtx[c] = true
-					a.ctx = append(a.ctx, c)
-				}
-			}
-		}
+	var row core.ContextRow
+	for k, t := range terms {
 		failed := 0
 		var firstErr error
 		for _, r := range ing.resources {
@@ -362,7 +345,7 @@ func (ing *Ingester) analyze(ctx context.Context, doc *textdb.Document) (analysi
 				}
 				continue
 			}
-			merge(lookedUp)
+			row.Add(k, lookedUp)
 		}
 		if failed > 0 {
 			if failed < len(ing.resources) {
@@ -375,9 +358,11 @@ func (ing *Ingester) analyze(ctx context.Context, doc *textdb.Document) (analysi
 				return analysis{}, fmt.Errorf("fallback %s(%q): %w", ing.fallback.Name(), t, err)
 			}
 			ing.fallbackLookups.Add(1)
-			merge(lookedUp)
+			row.Add(k, lookedUp)
 		}
 	}
+	var a analysis
+	a.ctx, a.corroborated = row.Finish(len(terms))
 	return a, nil
 }
 
@@ -487,8 +472,8 @@ func (ing *Ingester) admit(doc *textdb.Document, a analysis, persist bool) {
 	ing.dfD.AddDoc(orig)
 	ing.expandBuf = core.ExpandDocTermsAppend(ing.expandBuf[:0], ing.corpus.Dict(), orig, a.ctx, ing.expandScratch, ing.ctxTerms)
 	ing.dfC.AddDoc(ing.expandBuf)
-	ing.important = append(ing.important, a.important)
-	ing.votes = append(ing.votes, a.votes)
+	ing.context = append(ing.context, a.ctx)
+	ing.corroborated = append(ing.corroborated, a.corroborated)
 	if persist && ing.cfg.Store != nil {
 		ing.pending = append(ing.pending, doc)
 	}
@@ -625,11 +610,6 @@ func (ing *Ingester) SubmitContext(ctx context.Context, doc *textdb.Document) er
 		ing.queueRejections.Add(1)
 		return ctx.Err()
 	}
-}
-
-// SubmitWait is a backward-compatible alias for SubmitContext.
-func (ing *Ingester) SubmitWait(ctx context.Context, doc *textdb.Document) error {
-	return ing.SubmitContext(ctx, doc)
 }
 
 // Current returns the most recently published browsing interface. The

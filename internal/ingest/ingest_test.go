@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -91,10 +92,26 @@ func drain(t *testing.T, ing *Ingester) {
 	}
 }
 
-// TestIncrementalMatchesBatch is the core correctness property: streaming
-// documents through the incremental DF tables must select exactly the
-// facet terms the batch pipeline selects over the same corpus.
+// TestIncrementalMatchesBatch is the core correctness property:
+// streaming documents through the incremental DF tables must select
+// exactly the facet terms the batch pipeline selects over the same
+// corpus, and assign every document exactly the facet terms
+// core.AssignDocTerms assigns it over the batch result. The outage case
+// runs both paths with every resource down and a fallback configured:
+// the fallback's context terms must vote in batch as they do live.
 func TestIncrementalMatchesBatch(t *testing.T) {
+	t.Run("healthy", func(t *testing.T) {
+		checkIncrementalMatchesBatch(t, []core.Resource{testResource()}, nil)
+	})
+	t.Run("total-outage-fallback", func(t *testing.T) {
+		down := &toggleResource{mapResource: testResource()}
+		down.down.Store(true)
+		fallback := mapResource{name: "corpus", m: testResource().m}
+		checkIncrementalMatchesBatch(t, []core.Resource{down}, fallback)
+	})
+}
+
+func checkIncrementalMatchesBatch(t *testing.T, resources []core.Resource, fallback core.Resource) {
 	const n = 42
 
 	// Batch run.
@@ -104,7 +121,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 	p, err := core.New(core.Config{
 		Extractors: []core.Extractor{wordExtractor{}},
-		Resources:  []core.Resource{testResource()},
+		Resources:  resources,
+		Fallback:   fallback,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +138,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	// Incremental run: bootstrap a prefix, stream the rest across several
 	// epochs.
 	cfg := testConfig()
+	cfg.Resources = resources
+	cfg.Fallback = fallback
 	cfg.EpochDocs = 7
 	ing, err := New(cfg)
 	if err != nil {
@@ -131,7 +151,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range docs[10:] {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,11 +161,11 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	if got := iface.MatchCount(browse.Selection{}); got != n {
 		t.Fatalf("published %d docs, want %d", got, n)
 	}
-	// The incremental DF tables must select exactly the batch ranking.
-	want := make([]string, len(batch.Facets))
-	for i, f := range batch.Facets {
-		want[i] = f.Term
+	if fallback != nil && (batch.FallbackLookups == 0 || ing.Stats().FallbackLookups == 0) {
+		t.Fatalf("fallback unused: batch %d, live %d rescues", batch.FallbackLookups, ing.Stats().FallbackLookups)
 	}
+	// The incremental DF tables must select exactly the batch ranking.
+	want := batch.FacetTermStrings()
 	got := ing.FacetTerms()
 	if len(got) != len(want) {
 		t.Fatalf("live selected %d facet terms %v, batch selected %d %v", len(got), got, len(want), want)
@@ -153,6 +173,19 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("rank %d: live %q, batch %q", i, got[i], want[i])
+		}
+	}
+	// Every document carries the batch assignment. Concurrent intake
+	// admits documents in any order, so rows are matched by title.
+	wantRows := map[string][]string{}
+	for d, row := range core.AssignDocTerms(corpus, batch.Context, batch.Corroborated, want) {
+		wantRows[corpus.Doc(textdb.DocID(d)).Title] = row
+	}
+	live := iface.Corpus()
+	for d, row := range iface.DocTermRows() {
+		title := live.Doc(textdb.DocID(d)).Title
+		if !reflect.DeepEqual(row, wantRows[title]) {
+			t.Fatalf("document %q: live assignment %v, batch %v", title, row, wantRows[title])
 		}
 	}
 	// Terms with multi-vote document support survive into the hierarchy
@@ -185,7 +218,7 @@ func TestEpochTriggerAndCache(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range testDocs(20) {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +258,7 @@ func TestMaxStalenessTrigger(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range testDocs(3) {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +287,7 @@ func TestWarmStart(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range docs[5:] {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +344,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ing.Start()
 	for _, d := range testDocs(9) {
-		if err := ing.SubmitWait(context.Background(), d); err != nil {
+		if err := ing.SubmitContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}

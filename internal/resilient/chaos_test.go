@@ -17,8 +17,8 @@ import (
 // enabled, must produce byte-identical output to the fault-free run — at
 // every worker count and every injector seed — and a scripted permanent
 // outage of one resource must produce exactly the output of a run
-// configured without that resource, with the outage reported in
-// Result.Degradations.
+// configured without that resource — context terms and the assignment
+// votes alike — with the outage reported in Result.Degradations.
 
 // chaosCorpus builds a small deterministic corpus with enough vocabulary
 // overlap for the shift tests to pass on some terms.
@@ -97,6 +97,11 @@ func mustEqual(t *testing.T, label string, got, want *core.Result) {
 	}
 	if !reflect.DeepEqual(got.Context, want.Context) {
 		t.Fatalf("%s: Context differs", label)
+	}
+	// The corroboration behind document-to-facet assignment comes from
+	// the same Step-2 lookups as Context, so it degrades exactly as they do.
+	if !reflect.DeepEqual(got.Corroborated, want.Corroborated) {
+		t.Fatalf("%s: Corroborated differs", label)
 	}
 	if !reflect.DeepEqual(got.Candidates, want.Candidates) {
 		t.Fatalf("%s: Candidates differ\n got %v\nwant %v", label, got.Candidates, want.Candidates)
