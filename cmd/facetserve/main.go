@@ -259,6 +259,7 @@ func main() {
 		Resources:        sys.CoreResources(),
 		Fallback:         sys.CoreFallback(),
 		TopK:             *topK,
+		Taxonomy:         sys.CoreTaxonomy(),
 		HierarchyBuilder: *hierarchyBuilder,
 		QueueSize:        *queueSize,
 		EpochDocs:        *epochDocs,

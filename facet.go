@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/browse"
@@ -45,6 +44,7 @@ import (
 	"repro/internal/newsgen"
 	"repro/internal/obsv"
 	"repro/internal/ontology"
+	"repro/internal/parallel"
 	"repro/internal/remote"
 	"repro/internal/textdb"
 	"repro/internal/websearch"
@@ -172,13 +172,10 @@ type Options struct {
 	// are all dark degrades to corpus-only context instead of running
 	// context-free. Result.FallbackLookups counts the rescues.
 	CorpusFallback bool
-	// SubsumptionThreshold is θ for hierarchy construction (default 0.8).
-	SubsumptionThreshold float64
 	// HierarchyBuilder selects the hierarchy-construction strategy by
-	// registry name ("subsumption", "evidence", "treemin",
-	// "agglomerative"; see hierarchy.Names). Empty selects "subsumption",
-	// the paper's choice. Result.BuildHierarchy honors it; an explicit
-	// Result.BuildHierarchyWith overrides it per call.
+	// name ("subsumption", "evidence", "treemin", "agglomerative"; see
+	// hierarchy.Names) for Result.BuildHierarchy. Empty selects
+	// "subsumption", the paper's choice (θ = 0.8).
 	HierarchyBuilder string
 	// ExtraExtractors and ExtraResources plug domain-specific tools into
 	// the pipeline alongside the built-in ones (Section VII of the paper;
@@ -235,11 +232,8 @@ func NewSystem(env *Environment, opts Options) (*System, error) {
 			return nil, fmt.Errorf("facet: unknown resource %q", r)
 		}
 	}
-	if opts.HierarchyBuilder != "" {
-		if _, ok := hierarchy.Lookup(opts.HierarchyBuilder); !ok {
-			return nil, fmt.Errorf("facet: unknown hierarchy builder %q (registered: %s)",
-				opts.HierarchyBuilder, strings.Join(hierarchy.Names(), ", "))
-		}
+	if _, err := hierarchy.Lookup(opts.HierarchyBuilder); err != nil {
+		return nil, fmt.Errorf("facet: %w", err)
 	}
 	return &System{env: env, opts: opts, corpus: textdb.NewCorpus()}, nil
 }
@@ -363,6 +357,14 @@ func (s *System) CoreFallback() core.Resource {
 	return s.buildDistributional()
 }
 
+// CoreTaxonomy wires the environment's WordNet and Wikipedia into the
+// taxonomy the "evidence" and "treemin" builders draw on; the live
+// ingestion subsystem passes it through ingest.Config.Taxonomy so live
+// epochs build the same hierarchy as BuildHierarchy.
+func (s *System) CoreTaxonomy() hierarchy.Taxonomy {
+	return hierarchy.NewTaxonomy(s.env.wnet, s.env.wiki)
+}
+
 // FacetTerm is one extracted facet term with its statistical evidence.
 type FacetTerm struct {
 	Term   string
@@ -469,8 +471,8 @@ type StageTiming struct {
 	// Stage names the phase: identify_important, derive_context, analyze,
 	// and — after BuildHierarchy — build_hierarchy.
 	Stage string
-	// Calls is how many times the stage ran (hierarchy construction can
-	// run more than once with different methods).
+	// Calls is how many times the stage ran (hierarchy construction runs
+	// once per BuildHierarchy call).
 	Calls int64
 	// Total is the stage's accumulated wall-clock time.
 	Total time.Duration
@@ -479,7 +481,7 @@ type StageTiming struct {
 // StageReport returns where this extraction's time went, stage by stage
 // in execution order — the library-level counterpart of the paper's
 // Section V-D efficiency analysis. Hierarchy construction is included
-// once BuildHierarchy (or BuildHierarchyWith) has run.
+// once BuildHierarchy has run.
 func (r *Result) StageReport() []StageTiming {
 	if r.stages == nil {
 		return nil
@@ -517,9 +519,34 @@ type Node struct {
 // BuildHierarchy organizes the extracted facet terms into per-facet trees
 // over the expanded document collection, using the strategy selected by
 // Options.HierarchyBuilder (default: the Sanderson–Croft subsumption
-// algorithm the paper uses).
+// algorithm the paper uses). Its wall-clock cost is recorded as the
+// build_hierarchy stage of StageReport.
 func (r *Result) BuildHierarchy() (*Hierarchy, error) {
-	return r.BuildHierarchyWith("")
+	return r.BuildHierarchyContext(context.Background())
+}
+
+// BuildHierarchyContext is BuildHierarchy with cancellation: the sharded
+// pairwise sweep checks ctx between terms, so a canceled or expired ctx
+// aborts construction with ctx's error instead of a partial hierarchy.
+func (r *Result) BuildHierarchyContext(ctx context.Context) (*Hierarchy, error) {
+	if r.stages != nil {
+		defer r.stages.Start("build_hierarchy")()
+	}
+	b, err := hierarchy.Lookup(r.sys.opts.HierarchyBuilder)
+	if err != nil {
+		return nil, fmt.Errorf("facet: %w", err)
+	}
+	terms := r.Terms()
+	docTerms := core.AssignDocTerms(r.sys.corpus, r.inner.Context, r.inner.Corroborated, terms)
+	forest, err := b.Build(ctx, terms, docTerms, hierarchy.BuildConfig{
+		Workers:  parallel.Workers(r.sys.opts.Workers),
+		Metrics:  r.sys.metrics, // surfaces hierarchy.pairs.* pruning counters; nil disables
+		Taxonomy: r.sys.CoreTaxonomy(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Hierarchy{forest: forest, docTerms: docTerms}, nil
 }
 
 // Roots returns the top-level facets.

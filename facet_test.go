@@ -1,6 +1,8 @@
 package facet
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -204,14 +206,25 @@ func TestVirtualNetworkTime(t *testing.T) {
 	}
 }
 
+// withBuilder returns res as if its System had been configured with
+// Options{HierarchyBuilder: name}, so one extraction can be compared
+// across builders.
+func withBuilder(res *Result, name string) *Result {
+	sys := *res.sys
+	sys.opts.HierarchyBuilder = name
+	r := *res
+	r.sys = &sys
+	return &r
+}
+
 func TestBuildHierarchyMethods(t *testing.T) {
 	sys := loadedSystem(t, 120)
 	res, err := sys.ExtractFacets()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []HierarchyMethod{HierarchySubsumption, HierarchyEvidence, HierarchyTreeMin, "agglomerative"} {
-		h, err := res.BuildHierarchyWith(m)
+	for _, m := range []string{"subsumption", "evidence", "treemin", "agglomerative"} {
+		h, err := withBuilder(res, m).BuildHierarchy()
 		if err != nil {
 			t.Fatalf("method %v: %v", m, err)
 		}
@@ -222,14 +235,14 @@ func TestBuildHierarchyMethods(t *testing.T) {
 			t.Fatalf("method %v: browser: %v", m, err)
 		}
 	}
-	if _, err := res.BuildHierarchyWith("bogus"); err == nil {
+	if _, err := withBuilder(res, "bogus").BuildHierarchy(); err == nil {
 		t.Fatal("unknown builder name accepted")
 	}
 }
 
 // TestHierarchyBuilderOption: Options.HierarchyBuilder selects the
-// default strategy for BuildHierarchy, round-tripping through
-// NewSystem → ExtractFacetsContext → Result.
+// strategy for BuildHierarchy, round-tripping through NewSystem →
+// ExtractFacets → Result.
 func TestHierarchyBuilderOption(t *testing.T) {
 	env := testEnv(t)
 	docs, err := env.GenerateNewsCorpus("SNYT", 120, 7)
@@ -251,22 +264,34 @@ func TestHierarchyBuilderOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := res.BuildHierarchyWith("agglomerative")
+	subsumption, err := withBuilder(res, "").BuildHierarchy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := viaOption.FormatTree(), explicit.FormatTree(); got != want {
-		t.Fatalf("BuildHierarchy() ignored Options.HierarchyBuilder:\n--- option ---\n%s\n--- explicit ---\n%s", got, want)
+	if viaOption.FormatTree() == subsumption.FormatTree() {
+		t.Fatal("BuildHierarchy() ignored Options.HierarchyBuilder: the agglomerative forest equals the default subsumption one")
 	}
-	subsumption, err := res.BuildHierarchyWith(HierarchySubsumption)
+	_, err = NewSystem(env, Options{HierarchyBuilder: "bogus"})
+	if err == nil || !strings.Contains(err.Error(), "unknown hierarchy builder \"bogus\"") {
+		t.Fatalf("NewSystem with an unknown HierarchyBuilder: err = %v", err)
+	}
+}
+
+// TestBuildHierarchyContextCanceled: a canceled ctx aborts hierarchy
+// construction with ctx's error and no hierarchy, for every builder.
+func TestBuildHierarchyContextCanceled(t *testing.T) {
+	sys := loadedSystem(t, 60)
+	res, err := sys.ExtractFacets()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaOption.FormatTree() == subsumption.FormatTree() && len(viaOption.Roots()) == len(subsumption.Roots()) {
-		t.Log("agglomerative and subsumption agree on this corpus (unusual but not wrong)")
-	}
-	if _, err := NewSystem(env, Options{HierarchyBuilder: "bogus"}); err == nil {
-		t.Fatal("unknown HierarchyBuilder accepted by NewSystem")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, name := range []string{"subsumption", "evidence", "treemin", "agglomerative"} {
+		h, err := withBuilder(res, name).BuildHierarchyContext(ctx)
+		if !errors.Is(err, context.Canceled) || h != nil {
+			t.Errorf("%s: canceled BuildHierarchyContext = %v, %v; want nil, context.Canceled", name, h, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package browse
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -8,6 +9,9 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/textdb"
 )
+
+// subsumption is the paper's hierarchy builder; the fixtures use it.
+var subsumption, _ = hierarchy.Lookup("subsumption")
 
 // fixture: 6 docs over a tiny europe/sports hierarchy.
 func fixture(t *testing.T) (*Interface, *textdb.Corpus) {
@@ -33,7 +37,7 @@ func fixture(t *testing.T) (*Interface, *textdb.Corpus) {
 		{"sports", "soccer"},
 		{"europe", "france"},
 	}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1})
+	forest, err := subsumption.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestCross(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	corpus := textdb.NewCorpus()
 	corpus.Add(&textdb.Document{Title: "t", Text: "x"})
-	forest, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	forest, _ := subsumption.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	if _, err := Build(corpus, forest, nil); err == nil {
 		t.Fatal("expected row-count mismatch error")
 	}
@@ -154,7 +158,7 @@ func TestDateRangeSelection(t *testing.T) {
 			Date: base.AddDate(0, 0, i),
 		})
 	}
-	forest, _ := hierarchy.BuildSubsumption([]string{"war"}, rows(10, "war"), hierarchy.SubsumptionConfig{MinDF: 1})
+	forest, _ := subsumption.Build(context.Background(), []string{"war"}, rows(10, "war"), hierarchy.BuildConfig{MinDF: 1})
 	b, err := Build(corpus, forest, rows(10, "war"))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +196,7 @@ func TestDateHistogram(t *testing.T) {
 			Date: time.Date(2005, month, 1+i, 10, 0, 0, 0, time.UTC),
 		})
 	}
-	forest, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	forest, _ := subsumption.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	b, err := Build(corpus, forest, make([][]string, 6))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,9 @@ import (
 	"repro/internal/serve"
 	"repro/internal/textdb"
 )
+
+// subsumption is the paper's hierarchy builder; the fixtures use it.
+var subsumption, _ = hierarchy.Lookup("subsumption")
 
 // clusterFixture builds a corpus big enough that a 3-way consistent-hash
 // partition puts a meaningful slice on every shard, with facet terms in
@@ -48,7 +52,7 @@ func clusterFixture(t testing.TB, nDocs int) *browse.Interface {
 		docTerms = append(docTerms, groups[i%len(groups)])
 	}
 	terms := []string{"europe", "france", "germany", "sports", "baseball", "soccer"}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1})
+	forest, err := subsumption.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,23 +46,14 @@ func HierarchyBakeoff(ctx context.Context, dr *DataRun, opts BakeoffOptions) (*B
 	docTerms := core.AssignDocTerms(dr.DS.Corpus, result.Context, result.Corroborated, terms)
 
 	cfg := hierarchy.BuildConfig{
-		Workers: opts.Workers,
-		Evidence: hierarchy.EvidenceOptions{
-			Sources:   dr.Lab.EvidenceSources(),
-			Weights:   []float64{0.5, 0.5},
-			Threshold: 0.6,
-		},
-		Chains: dr.Lab.HypernymChains(),
+		Workers:  opts.Workers,
+		Taxonomy: hierarchy.NewTaxonomy(dr.Lab.WordNet, dr.Lab.Wiki),
 	}
 
 	bk := &Bakeoff{Profile: dr.DS.Profile.Name, Docs: dr.DS.Corpus.Len(), TopK: topK}
 	for _, name := range hierarchy.Names() {
-		b, ok := hierarchy.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("eval: builder %q vanished from registry", name)
-		}
 		start := time.Now()
-		forest, err := b.Build(ctx, terms, docTerms, cfg)
+		forest, err := buildWith(ctx, name, terms, docTerms, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("eval: builder %q: %w", name, err)
 		}

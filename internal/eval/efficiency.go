@@ -150,7 +150,7 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 	terms := result.FacetTermStrings()
 	docTerms := core.AssignDocTerms(sub, exp.Context, exp.Corroborated, terms)
 	start = time.Now()
-	if _, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{}); err != nil {
+	if _, err := buildWith(context.Background(), "subsumption", terms, docTerms, hierarchy.BuildConfig{}); err != nil {
 		return nil, err
 	}
 	rep.HierarchyConstruction = time.Since(start)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -32,61 +33,13 @@ type HierarchyMethodResult struct {
 	Precision float64 // judged by the annotator pool
 }
 
-// EvidenceSources builds the lab's taxonomy evidence sources for the
-// evidence-combination builder: WordNet-hypernym and Wikipedia-link
-// membership tests over the lab's substrates. Weight them 0.5 each with
-// threshold 0.6 for the configuration the comparison experiments use.
-func (l *Lab) EvidenceSources() []hierarchy.TaxonomicEvidence {
-	wn := l.WordNet
-	wnEvidence := hierarchy.EvidenceFunc{
-		EvidenceName: "wordnet-hypernym",
-		Fn: func(parent, child string) float64 {
-			lemma, ok := wn.Morphy(child)
-			if !ok {
-				return 0
-			}
-			for _, h := range wn.Hypernyms(lemma, 6) {
-				if h == parent {
-					return 1
-				}
-			}
-			return 0
-		},
+// buildWith runs the named hierarchy builder over terms and docTerms.
+func buildWith(ctx context.Context, name string, terms []string, docTerms [][]string, cfg hierarchy.BuildConfig) (*hierarchy.Forest, error) {
+	b, err := hierarchy.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	w := l.Wiki
-	wikiEvidence := hierarchy.EvidenceFunc{
-		EvidenceName: "wikipedia-link",
-		Fn: func(parent, child string) float64 {
-			cp, ok := w.Resolve(child)
-			if !ok {
-				return 0
-			}
-			pp, ok := w.Resolve(parent)
-			if !ok {
-				return 0
-			}
-			for _, l := range cp.Links {
-				if l.Target == pp.ID {
-					return 1
-				}
-			}
-			return 0
-		},
-	}
-	return []hierarchy.TaxonomicEvidence{wnEvidence, wikiEvidence}
-}
-
-// HypernymChains builds the lab's chain provider for the
-// tree-minimization builder: WordNet hypernym chains up to depth 8.
-func (l *Lab) HypernymChains() hierarchy.ChainProvider {
-	wn := l.WordNet
-	return hierarchy.ChainFunc(func(term string) []string {
-		lemma, ok := wn.Morphy(term)
-		if !ok {
-			return nil
-		}
-		return wn.Hypernyms(lemma, 8)
-	})
+	return b.Build(ctx, terms, docTerms, cfg)
 }
 
 // CompareHierarchies runs the comparison on the All×All cell.
@@ -98,28 +51,24 @@ func CompareHierarchies(dr *DataRun, topK int) (*HierarchyComparison, error) {
 	terms := result.FacetTermStrings()
 	docTerms := core.AssignDocTerms(dr.DS.Corpus, result.Context, result.Corroborated, terms)
 
-	subsumption, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{})
-	if err != nil {
-		return nil, err
+	cfg := hierarchy.BuildConfig{Taxonomy: hierarchy.NewTaxonomy(dr.Lab.WordNet, dr.Lab.Wiki)}
+	forests := map[string]*hierarchy.Forest{}
+	for _, name := range []string{"subsumption", "evidence", "treemin"} {
+		f, err := buildWith(context.Background(), name, terms, docTerms, cfg)
+		if err != nil {
+			return nil, err
+		}
+		forests[name] = f
 	}
-	evidence, err := hierarchy.BuildWithEvidence(terms, docTerms, hierarchy.EvidenceConfig{
-		Sources:   dr.Lab.EvidenceSources(),
-		Weights:   []float64{0.5, 0.5},
-		Threshold: 0.6,
-	})
-	if err != nil {
-		return nil, err
-	}
-	treeMin := hierarchy.BuildTreeMinimization(terms, dr.Lab.HypernymChains())
 
 	cmp := &HierarchyComparison{}
 	for _, m := range []struct {
 		name   string
 		forest *hierarchy.Forest
 	}{
-		{"subsumption (paper)", subsumption},
-		{"evidence combination (Snow-style)", evidence},
-		{"tree minimization (Stoica-Hearst)", treeMin},
+		{"subsumption (paper)", forests["subsumption"]},
+		{"evidence combination (Snow-style)", forests["evidence"]},
+		{"tree minimization (Stoica-Hearst)", forests["treemin"]},
 	} {
 		_, precision := dr.Pool.JudgePrecision(m.forest)
 		depth := 0

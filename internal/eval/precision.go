@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -30,7 +31,7 @@ func BuildForest(dr *DataRun, result *core.Result, topK int) (*hierarchy.Forest,
 		terms = terms[:topK]
 	}
 	docTerms := core.AssignDocTerms(dr.DS.Corpus, result.Context, result.Corroborated, terms)
-	return hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{})
+	return buildWith(context.Background(), "subsumption", terms, docTerms, hierarchy.BuildConfig{})
 }
 
 // PrecisionTable reproduces one of Tables V/VI/VII: for every cell, the

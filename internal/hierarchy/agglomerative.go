@@ -2,12 +2,11 @@ package hierarchy
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/parallel"
 )
 
-// agglomerativeBuilder is the registered "agglomerative" strategy:
+// agglomerativeBuilder is the "agglomerative" strategy:
 // average-linkage agglomerative clustering over the per-term posting
 // bitsets, following the cluster-then-name-then-merge shape of systems
 // like OpenClio. Where subsumption asks an asymmetric question ("does x
@@ -22,7 +21,7 @@ import (
 //  2. name — a cluster is named by its highest-DF member (ties broken
 //     lexicographically): the most general term stands for the group.
 //  3. merge — the closest pair of clusters (average linkage, Lance–
-//     Williams update) merges while similarity ≥ MinSimilarity; the
+//     Williams update) merges while similarity ≥ minMergeSimilarity; the
 //     losing cluster's name term attaches as a child of the winning
 //     name. Each term therefore gains at most one parent, with
 //     df(parent) ≥ df(child), so the forest is acyclic and DF-layered
@@ -34,39 +33,21 @@ import (
 // count.
 type agglomerativeBuilder struct{}
 
-// Name implements Builder.
-func (agglomerativeBuilder) Name() string { return "agglomerative" }
+// minMergeSimilarity stops the merge loop: clusters merge while the best
+// average-linkage Jaccard similarity is at least this value.
+const minMergeSimilarity = 0.25
 
-// Build implements Builder.
+// Build implements Builder. The similarity matrix is built sparse from
+// the pairIndex — only pairs with nonzero posting intersection get an
+// entry, everything else is an implicit 0 — and the merge loop scans
+// neighbor maps instead of n×n rows. Zero-DF terms (possible when the
+// caller disables the MinDF floor) have no postings, so they are never
+// given a cluster slot's worth of work: they start inactive and fall out
+// as roots. The merge order applies the all-pairs scan's tie-break
+// (highest similarity, then smallest slot pair) explicitly, so the
+// forest matches the dense reference byte for byte.
 func (agglomerativeBuilder) Build(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig) (*Forest, error) {
-	minSim := cfg.Agglomerative.MinSimilarity
-	if minSim == 0 {
-		minSim = 0.25
-	}
-	if minSim < 0 || minSim > 1 {
-		return nil, fmt.Errorf("hierarchy: min similarity %v outside [0,1]", minSim)
-	}
-	if cfg.MinDF == 0 {
-		cfg.MinDF = 2
-	}
-	st := newTermStats(terms, docTerms, cfg.MinDF)
-	if cfg.denseSweep {
-		return aggBuildDense(ctx, st, minSim, cfg)
-	}
-	return aggBuildSparse(ctx, st, minSim, cfg)
-}
-
-// aggBuildSparse is the default clustering path: the similarity matrix
-// is built sparse from the pairIndex — only pairs with nonzero posting
-// intersection get an entry, everything else is an implicit 0 — and the
-// merge loop scans neighbor maps instead of n×n rows. Zero-DF terms
-// (possible when the caller disables the MinDF floor) have no postings,
-// so they are never given a cluster slot's worth of work: they start
-// inactive and fall out as roots, exactly as the dense reference leaves
-// them. The merge order reproduces the dense scan's tie-break (highest
-// similarity, then smallest slot pair) explicitly, so the two paths
-// render byte-identical forests.
-func aggBuildSparse(ctx context.Context, st *termStats, minSim float64, cfg BuildConfig) (*Forest, error) {
+	st := newTermStats(terms, docTerms, cfg.minDF())
 	uniq, df, alive := st.uniq, st.df, st.alive
 	n := len(alive)
 
@@ -74,7 +55,7 @@ func aggBuildSparse(ctx context.Context, st *termStats, minSim float64, cfg Buil
 	// worker that owns it; both directions of each pair compute the same
 	// co/union division, so the symmetric entries are identical floats.
 	sims := make([]map[int32]float64, n)
-	ix := newPairIndex(st)
+	src := cfg.pairSource(st)
 	nw := sweepWorkers(cfg.Workers)
 	scratches := make([]*pairScratch, nw)
 	counts := make([]pairCounts, nw)
@@ -87,11 +68,11 @@ func aggBuildSparse(ctx context.Context, st *termStats, minSim float64, cfg Buil
 		}
 		sc := scratches[w]
 		if sc == nil {
-			sc = ix.newScratch()
+			sc = src.newScratch()
 			scratches[w] = sc
 		}
 		var row map[int32]float64
-		ix.forCandidates(i, sc, 1, func(j, co int) {
+		src.forCandidates(i, sc, 1, func(j, co int) {
 			if j > i {
 				// Count each unordered pair once, mirroring the dense
 				// sweep's j > i iteration space.
@@ -148,7 +129,7 @@ func aggBuildSparse(ctx context.Context, st *termStats, minSim float64, cfg Buil
 				}
 			}
 		}
-		if bestI < 0 || bestSim < minSim {
+		if bestI < 0 || bestSim < minMergeSimilarity {
 			break
 		}
 		// Name the merged cluster and record the hierarchy edge: the
@@ -193,98 +174,6 @@ func aggBuildSparse(ctx context.Context, st *termStats, minSim float64, cfg Buil
 		name[bestI] = winner
 		active[bestJ] = false
 		sims[bestJ] = nil
-	}
-	return assembleForest(st, parentOf), nil
-}
-
-// aggBuildDense is the pre-pruning all-pairs reference, kept verbatim
-// (plus the degenerate-postings guard) behind cfg.denseSweep so the
-// differential tests can prove the sparse path byte-identical.
-func aggBuildDense(ctx context.Context, st *termStats, minSim float64, cfg BuildConfig) (*Forest, error) {
-	uniq, sets, df, alive := st.uniq, st.sets, st.df, st.alive
-	n := len(alive)
-
-	// Pairwise Jaccard similarity over the alive terms. Row i is written
-	// only by the worker that owns it, so the O(n²) AndCount sweep shards
-	// like the subsumption sweep.
-	sim := make([]float64, n*n)
-	err := parallel.For(ctx, n, cfg.Workers, func(_, i int) {
-		a := alive[i]
-		for j := i + 1; j < n; j++ {
-			b := alive[j]
-			co := sets[a].AndCount(sets[b])
-			if co == 0 {
-				continue
-			}
-			union := df[a] + df[b] - co
-			sim[i*n+j] = float64(co) / float64(union)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sim[j*n+i] = sim[i*n+j]
-		}
-	}
-
-	// Each cluster tracks its size (for the average-linkage update) and
-	// its name: the global index of the highest-DF member.
-	active := make([]bool, n)
-	size := make([]int, n)
-	name := make([]int, n)
-	for i := 0; i < n; i++ {
-		active[i] = true
-		size[i] = 1
-		name[i] = alive[i]
-	}
-
-	parentOf := make(map[int]int)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Closest active pair; ties resolve by the lexicographically
-		// smallest (name_i, name_j) pair, which is scan order here since
-		// clusters keep their creation slots and alive is sorted.
-		bestI, bestJ, bestSim := -1, -1, 0.0
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if s := sim[i*n+j]; s > bestSim {
-					bestI, bestJ, bestSim = i, j, s
-				}
-			}
-		}
-		if bestI < 0 || bestSim < minSim {
-			break
-		}
-		// Name the merged cluster and record the hierarchy edge: the
-		// less general name attaches under the more general one.
-		winner, loser := name[bestI], name[bestJ]
-		if aggMoreGeneral(df, uniq, loser, winner) {
-			winner, loser = loser, winner
-		}
-		parentOf[loser] = winner
-		// Lance–Williams average-linkage update into slot bestI.
-		for k := 0; k < n; k++ {
-			if !active[k] || k == bestI || k == bestJ {
-				continue
-			}
-			merged := (float64(size[bestI])*sim[bestI*n+k] + float64(size[bestJ])*sim[bestJ*n+k]) /
-				float64(size[bestI]+size[bestJ])
-			sim[bestI*n+k] = merged
-			sim[k*n+bestI] = merged
-		}
-		size[bestI] += size[bestJ]
-		name[bestI] = winner
-		active[bestJ] = false
 	}
 	return assembleForest(st, parentOf), nil
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
 
 	"repro/internal/bitset"
 	"repro/internal/obsv"
@@ -18,40 +18,25 @@ import (
 // yield the same Forest at every worker count — and must honor ctx
 // cancellation by returning ctx's error instead of a partial forest.
 //
-// Implementations register themselves with Register and are selected by
-// name through Lookup — the facade (`facet.Options.HierarchyBuilder`),
-// the serving binaries' -hierarchy flags, and the experiments bake-off
-// all dispatch through the registry, so adding a strategy is one new
-// file plus one Register call.
+// Builders are selected by name through Lookup — the facade
+// (`facet.Options.HierarchyBuilder`), the serving binaries' -hierarchy
+// flags, live ingestion and the experiments bake-off all dispatch
+// through it, so adding a strategy is one new file plus one entry in
+// builders.
 type Builder interface {
-	// Name is the registry key, a short lowercase identifier
-	// ("subsumption", "evidence", "treemin", "agglomerative").
-	Name() string
-	// Build constructs the forest.
 	Build(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig) (*Forest, error)
 }
 
-// BuildConfig is the shared configuration for every Builder. Common
-// knobs (document-frequency floor, worker count, threshold) live at the
-// top level; builder-specific options are nested and ignored by builders
-// they do not apply to. The zero value selects sensible defaults
-// everywhere, so BuildConfig{} is a valid config for every builder.
+// BuildConfig is the shared configuration for every Builder: what
+// production callers vary. Builders ignore the fields they do not use,
+// and the zero value is a valid config for every builder. The
+// algorithms' own parameters are constants (subsumptionThreshold,
+// maxChildDFFraction, evidenceThreshold, minMergeSimilarity).
 type BuildConfig struct {
-	// Threshold is the builder's main attachment threshold: θ in
-	// P(x|y) ≥ θ for subsumption, the combined-score floor for evidence
-	// (unless Evidence.Threshold overrides it). 0 selects the builder's
-	// standard default (0.8 for subsumption and evidence).
-	Threshold float64
 	// MinDF drops terms observed in fewer documents; co-occurrence
 	// estimates below a handful of documents are noise. 0 selects 2.
 	// Taxonomy-only builders (treemin) ignore it.
 	MinDF int
-	// MaxChildDFFraction: a term present in more than this fraction of
-	// the collection is a facet DIMENSION — it stays a root and is never
-	// attached as a child (at such densities P(x|y) ≥ θ holds against
-	// almost any x by saturation, not by meaning). 0 selects 0.6;
-	// set >= 1 to disable. Only the subsumption builder applies it.
-	MaxChildDFFraction float64
 	// Workers shards each builder's pairwise sweep across a bounded
 	// worker pool. <= 1 (the zero value) runs sequentially; the forest
 	// is identical for every worker count.
@@ -61,98 +46,64 @@ type BuildConfig struct {
 	// hierarchy.sweep.terms gauge (see pairCounts). nil disables
 	// instrumentation.
 	Metrics *obsv.Registry
+	// Taxonomy is the external is-a knowledge: evidence sources for the
+	// "evidence" builder and ancestor chains for "treemin". The zero
+	// value means no taxonomy (evidence scores co-occurrence alone,
+	// treemin makes every term a root).
+	Taxonomy Taxonomy
 
-	// denseSweep forces the pre-pruning all-pairs sweep. It exists only
-	// so the differential tests (TestPrunedSweepEquivalence and the
-	// TestBuilderInvariants extension) can prove the posting-list-pruned
-	// sweeps byte-identical to the dense reference; it is unexported so
-	// external callers always get the pruned path.
-	denseSweep bool
-
-	// Evidence holds the evidence-combination builder's options.
-	Evidence EvidenceOptions
-	// Chains supplies is-a ancestor chains for the tree-minimization
-	// builder; nil means no terms have chains (every term is a root).
-	Chains ChainProvider
-	// Agglomerative holds the co-occurrence clustering builder's options.
-	Agglomerative AgglomerativeOptions
+	// candidates, when set, replaces the posting-list pair generator of
+	// the co-occurrence sweeps. Production leaves it nil; the
+	// differential tests inject the all-pairs reference through it.
+	candidates func(*termStats) candidateSource
 }
 
-// EvidenceOptions configures the "evidence" builder (nested in
-// BuildConfig; other builders ignore it).
-type EvidenceOptions struct {
-	// SubsumptionWeight scales the co-occurrence evidence P(x|y); the
-	// remaining sources contribute with their own weights. 0 selects 1.0.
-	SubsumptionWeight float64
-	// Weights per evidence source, aligned with Sources; nil gives every
-	// source weight 1.
-	Weights []float64
-	// Sources are the external taxonomy evidence sources to combine.
-	// They must be safe for concurrent use when Workers > 1.
-	Sources []TaxonomicEvidence
-	// Threshold overrides BuildConfig.Threshold for the combined score;
-	// 0 falls back to BuildConfig.Threshold, then to 0.8.
-	Threshold float64
-}
-
-// AgglomerativeOptions configures the "agglomerative" builder (nested in
-// BuildConfig; other builders ignore it).
-type AgglomerativeOptions struct {
-	// MinSimilarity stops the merge loop: clusters are merged while the
-	// best average-linkage Jaccard similarity is at least this value.
-	// 0 selects 0.25; higher values yield flatter, purer forests.
-	MinSimilarity float64
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Builder{}
-)
-
-// Register adds a builder to the registry under b.Name(). It panics on a
-// nil builder, an empty name, or a duplicate registration — all three are
-// programmer errors at package-init time.
-func Register(b Builder) {
-	if b == nil {
-		panic("hierarchy: Register(nil)")
+// minDF returns the effective document-frequency floor.
+func (c BuildConfig) minDF() int {
+	if c.MinDF == 0 {
+		return 2
 	}
-	name := b.Name()
+	return c.MinDF
+}
+
+// pairSource returns the candidate-pair generator for a sweep over st.
+func (c BuildConfig) pairSource(st *termStats) candidateSource {
+	if c.candidates != nil {
+		return c.candidates(st)
+	}
+	return newPairIndex(st)
+}
+
+// builders maps each registry name to its strategy.
+var builders = map[string]Builder{
+	"subsumption":   subsumptionBuilder{},
+	"evidence":      evidenceBuilder{},
+	"treemin":       treeminBuilder{},
+	"agglomerative": agglomerativeBuilder{},
+}
+
+// Lookup returns the builder with the given name; "" selects
+// "subsumption", the paper's choice. An unknown name is an error that
+// lists the valid ones.
+func Lookup(name string) (Builder, error) {
 	if name == "" {
-		panic("hierarchy: Register with empty name")
+		name = "subsumption"
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("hierarchy: duplicate builder %q", name))
+	b, ok := builders[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown hierarchy builder %q (registered: %s)", name, strings.Join(Names(), ", "))
 	}
-	registry[name] = b
+	return b, nil
 }
 
-// Lookup returns the registered builder with the given name.
-func Lookup(name string) (Builder, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	return b, ok
-}
-
-// Names returns the registered builder names, sorted.
+// Names returns the builder names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(builders))
+	for n := range builders {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-func init() {
-	Register(subsumptionBuilder{})
-	Register(evidenceBuilder{})
-	Register(treeminBuilder{})
-	Register(agglomerativeBuilder{})
 }
 
 // termStats is the co-occurrence scaffolding shared by every builder that

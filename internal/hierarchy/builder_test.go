@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -35,87 +36,62 @@ func builderFixture() (terms []string, docTerms [][]string) {
 	return terms, docTerms
 }
 
-// fixtureConfig exercises every nested option so taxonomy-backed builders
-// get real inputs: an evidence source that endorses france→paris and
-// hypernym chains for the concrete terms.
+// fixtureConfig sets a taxonomy so taxonomy-backed builders get real
+// inputs: an evidence source that endorses france→paris (and the
+// gateFixture pairs) and hypernym chains for the concrete terms.
 func fixtureConfig(workers int) BuildConfig {
 	return BuildConfig{
 		MinDF:   2,
 		Workers: workers,
-		Evidence: EvidenceOptions{
+		Taxonomy: Taxonomy{
 			Sources: []TaxonomicEvidence{EvidenceFunc{
 				EvidenceName: "fixture",
 				Fn: func(parent, child string) float64 {
-					if parent == "france" && child == "paris" {
+					switch parent + "→" + child {
+					case "france→paris", "g_mid→g_leaf", "g_top→g_lone":
 						return 1
 					}
 					return 0
 				},
 			}},
-			Threshold: 0.6,
+			Chains: ChainFunc(func(term string) []string {
+				switch term {
+				case "baseball":
+					return []string{"sports"}
+				case "paris":
+					return []string{"france", "europe"}
+				case "election":
+					return []string{"politics", "news"}
+				}
+				return nil
+			}),
 		},
-		Chains: ChainFunc(func(term string) []string {
-			switch term {
-			case "baseball":
-				return []string{"sports"}
-			case "paris":
-				return []string{"france", "europe"}
-			case "election":
-				return []string{"politics", "news"}
-			}
-			return nil
-		}),
 	}
 }
 
-// TestRegistry: the four stock builders are registered, Names is sorted,
-// and Lookup round-trips every name to a builder that claims it.
+// TestRegistry: the four builders are registered, Names is sorted, ""
+// selects subsumption, and an unknown name is an error naming the valid
+// ones.
 func TestRegistry(t *testing.T) {
 	names := Names()
-	if len(names) < 4 {
-		t.Fatalf("Names() = %v, want at least 4 builders", names)
+	if got, want := strings.Join(names, ","), "agglomerative,evidence,subsumption,treemin"; got != want {
+		t.Fatalf("Names() = %s, want %s", got, want)
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted: %v", names)
+	for _, name := range names {
+		if b, err := Lookup(name); err != nil || b == nil {
+			t.Fatalf("Lookup(%q) = %v, %v", name, b, err)
 		}
 	}
-	for _, want := range []string{"agglomerative", "evidence", "subsumption", "treemin"} {
-		b, ok := Lookup(want)
-		if !ok {
-			t.Fatalf("Lookup(%q) missing", want)
-		}
-		if b.Name() != want {
-			t.Fatalf("Lookup(%q).Name() = %q", want, b.Name())
-		}
+	if b, err := Lookup(""); err != nil || b != (subsumptionBuilder{}) {
+		t.Fatalf(`Lookup("") = %v, %v; want the subsumption builder`, b, err)
 	}
-	if _, ok := Lookup("nope"); ok {
+	_, err := Lookup("nope")
+	if err == nil {
 		t.Fatal("Lookup of unknown builder succeeded")
 	}
-}
-
-type dummyBuilder struct{ name string }
-
-func (d dummyBuilder) Name() string { return d.name }
-func (d dummyBuilder) Build(context.Context, []string, [][]string, BuildConfig) (*Forest, error) {
-	return &Forest{index: map[string]*Node{}}, nil
-}
-
-// TestRegisterPanics: nil builders, empty names, and duplicate names are
-// programmer errors and panic at registration time.
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(label string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: Register did not panic", label)
-			}
-		}()
-		fn()
+	if msg := err.Error(); !strings.Contains(msg, `"nope"`) || !strings.Contains(msg, strings.Join(names, ", ")) {
+		t.Fatalf("Lookup error %q does not name the builder and the registered ones", msg)
 	}
-	mustPanic("nil", func() { Register(nil) })
-	mustPanic("empty name", func() { Register(dummyBuilder{}) })
-	mustPanic("duplicate", func() { Register(dummyBuilder{name: "subsumption"}) })
 }
 
 // TestBuilderInvariants runs the builder-agnostic contract over every
@@ -138,9 +114,9 @@ func TestBuilderInvariants(t *testing.T) {
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			b, ok := Lookup(name)
-			if !ok {
-				t.Fatalf("Lookup(%q) failed", name)
+			b, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
 			}
 			cfg := fixtureConfig(1)
 			forest, err := b.Build(context.Background(), terms, docTerms, cfg)
@@ -168,19 +144,13 @@ func TestBuilderInvariants(t *testing.T) {
 			}
 
 			// Pruned-sweep equivalence: the posting-list-pruned sweep
-			// (the default) must render the same forest as the dense
-			// all-pairs reference. Registered builders inherit this
-			// check, so a new strategy cannot ship a pruning shortcut
-			// that silently drops pairs. (TestPrunedSweepEquivalence
-			// repeats this on a larger skewed corpus.)
-			denseCfg := fixtureConfig(1)
-			denseCfg.denseSweep = true
-			denseForest, err := b.Build(context.Background(), terms, docTerms, denseCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := FormatTree(denseForest); got != sequential {
-				t.Errorf("%s: dense reference sweep differs from pruned:\n--- pruned ---\n%s\n--- dense ---\n%s", name, sequential, got)
+			// must render the same forest as the all-pairs reference.
+			// Every builder inherits this check, so a new strategy
+			// cannot ship a pruning shortcut that silently drops pairs.
+			// (TestPrunedSweepEquivalence repeats this on a larger
+			// skewed corpus.)
+			if got := buildReference(t, name, terms, docTerms, fixtureConfig(1)); got != sequential {
+				t.Errorf("%s: all-pairs reference differs from pruned:\n--- pruned ---\n%s\n--- reference ---\n%s", name, sequential, got)
 			}
 
 			// A canceled context aborts the build with ctx's error, never a

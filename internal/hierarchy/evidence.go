@@ -2,206 +2,94 @@ package hierarchy
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/parallel"
 )
 
-// TaxonomicEvidence scores the hypothesis "parent is-a-broader-term-of
-// child" from one knowledge source, in [0, 1]. This is the extension the
-// paper points at ("newer algorithms [5] may give even better results",
-// citing Snow, Jurafsky & Ng 2006): instead of relying on document
-// co-occurrence alone, evidence from heterogeneous sources is combined.
-type TaxonomicEvidence interface {
-	Name() string
-	Score(parent, child string) float64
-}
-
-// EvidenceFunc adapts a function to TaxonomicEvidence.
-type EvidenceFunc struct {
-	EvidenceName string
-	Fn           func(parent, child string) float64
-}
-
-// Name implements TaxonomicEvidence.
-func (e EvidenceFunc) Name() string { return e.EvidenceName }
-
-// Score implements TaxonomicEvidence.
-func (e EvidenceFunc) Score(parent, child string) float64 { return e.Fn(parent, child) }
-
-// EvidenceConfig parameterizes BuildWithEvidence.
+// evidenceBuilder is the "evidence" strategy, the extension the paper
+// points at ("newer algorithms [5] may give even better results", citing
+// Snow, Jurafsky & Ng 2006): instead of relying on document
+// co-occurrence alone, each term's parent is chosen by the maximum
+// combined score of P(x|y) and the taxonomy evidence sources. A
+// candidate must still satisfy P(y|x) < 1 (directionality) and reach
+// evidenceThreshold.
 //
-// Deprecated: use BuildConfig with the "evidence" Builder — the fields
-// map onto BuildConfig.{MinDF, Workers} and the nested EvidenceOptions.
-// This struct is kept so external callers compile.
-type EvidenceConfig struct {
-	// SubsumptionWeight as in EvidenceOptions; 0 selects 1.0.
-	SubsumptionWeight float64
-	// Weights per evidence source, aligned with Sources; nil gives every
-	// source weight 1.
-	Weights []float64
-	Sources []TaxonomicEvidence
-	// Threshold is the minimum combined score for attaching a child to a
-	// parent; 0 selects 0.8 (comparable to plain subsumption's θ).
-	Threshold float64
-	// MinDF as in BuildConfig.
-	MinDF int
-	// Workers as in BuildConfig. Sources must be safe for concurrent use
-	// when Workers > 1.
-	Workers int
-}
-
-// BuildWithEvidence builds a forest like BuildSubsumption but chooses each
-// term's parent by the maximum combined evidence score. A candidate must
-// still satisfy P(y|x) < 1 (directionality) and reach the threshold.
-func BuildWithEvidence(terms []string, docTerms [][]string, cfg EvidenceConfig) (*Forest, error) {
-	return BuildWithEvidenceContext(context.Background(), terms, docTerms, cfg)
-}
-
-// BuildWithEvidenceContext is BuildWithEvidence with cancellation: ctx is
-// checked between terms of the sharded pairwise evidence sweep, and a
-// canceled build returns ctx's error instead of a partial forest.
-func BuildWithEvidenceContext(ctx context.Context, terms []string, docTerms [][]string, cfg EvidenceConfig) (*Forest, error) {
-	return evidenceBuilder{}.Build(ctx, terms, docTerms, BuildConfig{
-		MinDF:   cfg.MinDF,
-		Workers: cfg.Workers,
-		Evidence: EvidenceOptions{
-			SubsumptionWeight: cfg.SubsumptionWeight,
-			Weights:           cfg.Weights,
-			Sources:           cfg.Sources,
-			Threshold:         cfg.Threshold,
-		},
-	})
-}
-
-// evidenceBuilder is the registered "evidence" strategy.
+// The combined score is a weighted mean: P(x|y) carries weight 1 and the
+// sources share one unit of weight equally, so with two sources the
+// score is (P(x|y) + ½·s₁ + ½·s₂) / 2.
 type evidenceBuilder struct{}
 
-// Name implements Builder.
-func (evidenceBuilder) Name() string { return "evidence" }
+// evidenceThreshold is the minimum combined score for attaching a child.
+const evidenceThreshold = 0.6
 
 // Build implements Builder.
 func (evidenceBuilder) Build(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig) (*Forest, error) {
-	opts := cfg.Evidence
-	if opts.SubsumptionWeight == 0 {
-		opts.SubsumptionWeight = 1.0
-	}
-	threshold := opts.Threshold
-	if threshold == 0 {
-		threshold = cfg.Threshold
-	}
-	if threshold == 0 {
-		threshold = 0.8
-	}
-	if cfg.MinDF == 0 {
-		cfg.MinDF = 2
-	}
-	if opts.Weights != nil && len(opts.Weights) != len(opts.Sources) {
-		return nil, fmt.Errorf("hierarchy: %d weights for %d sources", len(opts.Weights), len(opts.Sources))
-	}
-	weight := func(i int) float64 {
-		if opts.Weights == nil {
-			return 1
-		}
-		return opts.Weights[i]
-	}
-	totalWeight := opts.SubsumptionWeight
-	for i := range opts.Sources {
-		totalWeight += weight(i)
-	}
-	if totalWeight <= 0 {
-		return nil, fmt.Errorf("hierarchy: non-positive total evidence weight")
+	sources := cfg.Taxonomy.Sources
+	totalWeight, sourceWeight := 1.0, 0.0
+	if len(sources) > 0 {
+		totalWeight, sourceWeight = 2, 1/float64(len(sources))
 	}
 
-	st := newTermStats(terms, docTerms, cfg.MinDF)
-	uniq, sets, df, alive := st.uniq, st.sets, st.df, st.alive
+	st := newTermStats(terms, docTerms, cfg.minDF())
+	uniq, df, alive := st.uniq, st.df, st.alive
 
-	// Pruning gate. A pair with empty posting-list intersection scores
-	// at most maxZeroCoScore — the external sources' full endorsement
-	// with zero co-occurrence evidence — so when the attachment
-	// threshold exceeds that ceiling, zero-co pairs can neither reach
-	// the threshold nor displace a candidate that does, and the sweep
-	// can run over the pairIndex candidates alone. When the threshold
-	// sits at or below the ceiling (or the caller forces the dense
-	// reference), taxonomy evidence alone can attach terms that never
-	// co-occur and the sweep must stay dense for correctness.
-	maxZeroCoScore := 0.0
-	for i := range opts.Sources {
-		if w := weight(i); w > 0 {
-			maxZeroCoScore += w
-		}
-	}
-	maxZeroCoScore /= totalWeight
-	pruned := !cfg.denseSweep && threshold > maxZeroCoScore
-
-	// As in BuildSubsumption, every term's best parent is computed
+	// Pruning. A pair with empty posting-list intersection scores at most
+	// the sources' full endorsement with no co-occurrence evidence: one
+	// unit of the total weight 2, i.e. ½ (0 without sources). That
+	// ceiling sits below evidenceThreshold, so zero-co pairs can neither
+	// reach the threshold nor displace a candidate that does, and the
+	// sweep runs over the pairIndex candidates alone.
+	//
+	// As in subsumption, every term's best parent is computed
 	// independently, so the pairwise evidence combination shards across
 	// workers into per-term slots merged deterministically afterwards.
 	// The best-candidate tie-break (max score, then lexicographically
-	// smallest term) is a total order, so the pruned sweep's different
-	// visit order cannot change the winner.
+	// smallest term) is a total order, so the pruned sweep's visit order
+	// cannot change the winner.
 	parents := make([]int, len(alive))
-	var ix *pairIndex
-	var scratches []*pairScratch
-	var counts []pairCounts
-	if pruned {
-		ix = newPairIndex(st)
-		nw := sweepWorkers(cfg.Workers)
-		scratches = make([]*pairScratch, nw)
-		counts = make([]pairCounts, nw)
-	}
+	src := cfg.pairSource(st)
+	nw := sweepWorkers(cfg.Workers)
+	scratches := make([]*pairScratch, nw)
+	counts := make([]pairCounts, nw)
 	err := parallel.For(ctx, len(alive), cfg.Workers, func(w, yi int) {
 		y := alive[yi]
 		bestScore := 0.0
 		bestIdx := -1
-		consider := func(x, co int) {
+		sc := scratches[w]
+		if sc == nil {
+			sc = src.newScratch()
+			scratches[w] = sc
+		}
+		yielded := int64(0)
+		src.forCandidates(yi, sc, 1, func(xi, co int) {
+			yielded++
+			x := alive[xi]
 			pyx := float64(co) / float64(df[x])
 			if pyx >= 1 {
 				return
 			}
-			score := opts.SubsumptionWeight * float64(co) / float64(df[y])
-			for i, src := range opts.Sources {
-				score += weight(i) * clamp01(src.Score(uniq[x], uniq[y]))
+			score := float64(co) / float64(df[y])
+			for _, s := range sources {
+				score += sourceWeight * clamp01(s.Score(uniq[x], uniq[y]))
 			}
 			score /= totalWeight
 			if score > bestScore || (score == bestScore && bestIdx >= 0 && uniq[x] < uniq[bestIdx]) {
 				bestScore = score
 				bestIdx = x
 			}
-		}
-		if pruned {
-			sc := scratches[w]
-			if sc == nil {
-				sc = ix.newScratch()
-				scratches[w] = sc
-			}
-			yielded := int64(0)
-			ix.forCandidates(yi, sc, 1, func(xi, co int) {
-				yielded++
-				consider(alive[xi], co)
-			})
-			counts[w].candidate += yielded
-			counts[w].evaluated += yielded
-			counts[w].skipped += int64(len(alive)-1) - yielded
-		} else {
-			for _, x := range alive {
-				if x == y {
-					continue
-				}
-				consider(x, sets[x].AndCount(sets[y]))
-			}
-		}
+		})
+		counts[w].candidate += yielded
+		counts[w].evaluated += yielded
+		counts[w].skipped += int64(len(alive)-1) - yielded
 		parents[yi] = -1
-		if bestIdx >= 0 && bestScore >= threshold {
+		if bestIdx >= 0 && bestScore >= evidenceThreshold {
 			parents[yi] = bestIdx
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	if pruned {
-		publishPairCounts(cfg.Metrics, counts, len(alive))
-	}
+	publishPairCounts(cfg.Metrics, counts, len(alive))
 	parentOf := map[int]int{}
 	for yi, y := range alive {
 		if parents[yi] >= 0 {

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -72,28 +73,31 @@ func checkForestInvariants(t *testing.T, f *Forest) {
 }
 
 // FuzzSubsumption builds subsumption forests over arbitrary document
-// collections, thresholds, and worker counts, checking that construction
-// never fails or panics, the result is a true forest (acyclic, every
-// term reachable exactly once), and the sharded pairwise sweep renders
-// the identical tree to the sequential one.
+// collections and worker counts, checking that construction never fails
+// or panics, the result is a true forest (acyclic, every term reachable
+// exactly once), and the sharded pairwise sweep renders the identical
+// tree to the sequential one.
 func FuzzSubsumption(f *testing.F) {
-	f.Add([]byte{0x07, 0x00, 0x03, 0x00, 0x01, 0x00, 0x07, 0x00}, uint8(80), uint8(4))
-	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 0xf0, 0x00}, uint8(50), uint8(0))
-	f.Add([]byte{}, uint8(100), uint8(2))
-	f.Add([]byte{0x01, 0x80, 0x01, 0x80, 0x03, 0xc0}, uint8(1), uint8(7))
-	f.Fuzz(func(t *testing.T, data []byte, thresholdPct, workers uint8) {
+	f.Add([]byte{0x07, 0x00, 0x03, 0x00, 0x01, 0x00, 0x07, 0x00}, uint8(4))
+	f.Add([]byte{0xff, 0xff, 0x0f, 0x00, 0xf0, 0x00}, uint8(0))
+	f.Add([]byte{}, uint8(2))
+	f.Add([]byte{0x01, 0x80, 0x01, 0x80, 0x03, 0xc0}, uint8(7))
+	b, err := Lookup("subsumption")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		terms, docTerms := decodeFuzzCollection(data)
-		threshold := float64(thresholdPct%100+1) / 100 // (0, 1]
-		cfg := SubsumptionConfig{Threshold: threshold, Workers: int(workers % 8)}
-		forest, err := BuildSubsumption(terms, docTerms, cfg)
+		cfg := BuildConfig{Workers: int(workers % 8)}
+		forest, err := b.Build(context.Background(), terms, docTerms, cfg)
 		if err != nil {
-			t.Fatalf("BuildSubsumption(threshold=%v): %v", threshold, err)
+			t.Fatalf("subsumption build: %v", err)
 		}
 		checkForestInvariants(t, forest)
 
 		seqCfg := cfg
 		seqCfg.Workers = 1
-		seq, err := BuildSubsumption(terms, docTerms, seqCfg)
+		seq, err := b.Build(context.Background(), terms, docTerms, seqCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,15 +130,9 @@ func TestSubsumptionWorkersEquivalence(t *testing.T) {
 	}
 	terms := []string{"news", "sports", "football", "politics", "election",
 		"team0", "team4", "team1", "team2", "team3"}
-	seq, err := BuildSubsumption(terms, docTerms, SubsumptionConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := build(t, "subsumption", terms, docTerms, BuildConfig{Workers: 1})
 	for _, workers := range []int{0, 2, 5, 16} {
-		par, err := BuildSubsumption(terms, docTerms, SubsumptionConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := build(t, "subsumption", terms, docTerms, BuildConfig{Workers: workers})
 		if got, want := FormatTree(par), FormatTree(seq); got != want {
 			t.Fatalf("workers=%d forest diverges:\n%s\nwant:\n%s", workers, got, want)
 		}

@@ -1,10 +1,25 @@
 package hierarchy
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// build runs the named builder over the collection.
+func build(t *testing.T, name string, terms []string, docTerms [][]string, cfg BuildConfig) *Forest {
+	t.Helper()
+	b, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := b.Build(context.Background(), terms, docTerms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // docsWith builds docTerms where each entry lists the terms in one doc.
 func docsWith(rows ...string) [][]string {
@@ -38,10 +53,7 @@ func subsumptionFixture() ([]string, [][]string) {
 
 func TestBuildSubsumptionBasic(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, err := BuildSubsumption(terms, docs, SubsumptionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	europe, ok := f.Find("europe")
 	if !ok {
 		t.Fatal("europe missing")
@@ -65,17 +77,12 @@ func TestBuildSubsumptionBasic(t *testing.T) {
 
 func TestSubsumptionThreshold(t *testing.T) {
 	terms := []string{"a", "b"}
-	// P(a|b) = 2/3 < 0.8: no subsumption at θ=0.8, subsumption at θ=0.5.
+	// P(a|b) = 2/3 < θ = 0.8: no subsumption.
 	docs := docsWith("a,b", "a,b", "b", "a", "a")
-	strict, _ := BuildSubsumption(terms, docs, SubsumptionConfig{Threshold: 0.8})
+	strict := build(t, "subsumption", terms, docs, BuildConfig{})
 	b, _ := strict.Find("b")
 	if b.Parent != nil {
 		t.Fatal("θ=0.8 should not attach b")
-	}
-	loose, _ := BuildSubsumption(terms, docs, SubsumptionConfig{Threshold: 0.5})
-	b2, _ := loose.Find("b")
-	if b2.Parent == nil || b2.Parent.Term != "a" {
-		t.Fatal("θ=0.5 should attach b under a")
 	}
 }
 
@@ -83,7 +90,7 @@ func TestSubsumptionDirectionality(t *testing.T) {
 	// Perfect co-occurrence in both directions: P(y|x) = 1 blocks both.
 	terms := []string{"x", "y"}
 	docs := docsWith("x,y", "x,y", "x,y")
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	x, _ := f.Find("x")
 	y, _ := f.Find("y")
 	if x.Parent != nil || y.Parent != nil {
@@ -94,7 +101,7 @@ func TestSubsumptionDirectionality(t *testing.T) {
 func TestSubsumptionMinDF(t *testing.T) {
 	terms := []string{"common", "rare"}
 	docs := docsWith("common", "common", "common,rare")
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{MinDF: 2})
+	f := build(t, "subsumption", terms, docs, BuildConfig{MinDF: 2})
 	if _, ok := f.Find("rare"); ok {
 		t.Fatal("df-1 term should be dropped at MinDF=2")
 	}
@@ -117,7 +124,7 @@ func TestSubsumptionMostSpecificParent(t *testing.T) {
 		"location",
 		"", "", "", "", "", "", // padding keeps df fractions below saturation
 	)
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{MaxChildDFFraction: 0.99})
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	france, _ := f.Find("france")
 	if france.Parent == nil || france.Parent.Term != "europe" {
 		t.Fatalf("france parent = %v, want europe", france.Parent)
@@ -128,15 +135,9 @@ func TestSubsumptionMostSpecificParent(t *testing.T) {
 	}
 }
 
-func TestSubsumptionInvalidThreshold(t *testing.T) {
-	if _, err := BuildSubsumption(nil, nil, SubsumptionConfig{Threshold: 1.5}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestForestWalkDepths(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	depths := map[string]int{}
 	f.Walk(func(n *Node, d int) { depths[n.Term] = d })
 	if depths["europe"] != 0 || depths["france"] != 1 {
@@ -159,7 +160,7 @@ func TestTreeMinimization(t *testing.T) {
 		}
 		return nil
 	})
-	f := BuildTreeMinimization([]string{"france", "germany", "war", "jacques chirac"}, chains)
+	f := buildTreeMinimization([]string{"france", "germany", "war", "jacques chirac"}, chains)
 	// "country" has two children (france, germany) and must survive;
 	// single-child chain nodes like "region"→"location" collapse.
 	country, ok := f.Find("country")
@@ -194,7 +195,7 @@ func TestTreeMinimizationSharedRootSurvives(t *testing.T) {
 		}
 		return nil
 	})
-	f := BuildTreeMinimization([]string{"a", "b"}, chains)
+	f := buildTreeMinimization([]string{"a", "b"}, chains)
 	top, ok := f.Find("top")
 	if !ok {
 		t.Fatal("top missing")
@@ -215,31 +216,22 @@ func TestBuildWithEvidencePromotesKnownIsA(t *testing.T) {
 		}
 		return 0
 	}}
-	plain, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	plain := build(t, "subsumption", terms, docs, BuildConfig{})
 	fr, _ := plain.Find("france")
 	if fr.Parent != nil {
 		t.Fatal("fixture broken: plain subsumption should not attach france")
 	}
-	combined, err := BuildWithEvidence(terms, docs, EvidenceConfig{
-		Sources:   []TaxonomicEvidence{wn},
-		Threshold: 0.7,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A silent source halves the co-occurrence score: (0.6 + 0) / 2 < 0.6.
+	silent := EvidenceFunc{EvidenceName: "silent", Fn: func(_, _ string) float64 { return 0 }}
+	unendorsed := build(t, "evidence", terms, docs, BuildConfig{Taxonomy: Taxonomy{Sources: []TaxonomicEvidence{silent}}})
+	if fr, _ := unendorsed.Find("france"); fr.Parent != nil {
+		t.Fatalf("fixture broken: unendorsed evidence attached france under %q", fr.Parent.Term)
 	}
+	// The endorsement lifts it to (0.6 + 1) / 2 = 0.8 ≥ 0.6.
+	combined := build(t, "evidence", terms, docs, BuildConfig{Taxonomy: Taxonomy{Sources: []TaxonomicEvidence{wn}}})
 	fr2, _ := combined.Find("france")
 	if fr2.Parent == nil || fr2.Parent.Term != "europe" {
 		t.Fatalf("evidence combination failed to attach france: %+v", fr2.Parent)
-	}
-}
-
-func TestBuildWithEvidenceValidation(t *testing.T) {
-	_, err := BuildWithEvidence(nil, nil, EvidenceConfig{
-		Sources: []TaxonomicEvidence{EvidenceFunc{EvidenceName: "x", Fn: func(_, _ string) float64 { return 0 }}},
-		Weights: []float64{1, 2},
-	})
-	if err == nil {
-		t.Fatal("expected weight/source mismatch error")
 	}
 }
 
@@ -247,7 +239,7 @@ func TestBuildWithEvidenceDirectionalityStillHolds(t *testing.T) {
 	terms := []string{"x", "y"}
 	docs := docsWith("x,y", "x,y")
 	ev := EvidenceFunc{EvidenceName: "always", Fn: func(_, _ string) float64 { return 1 }}
-	f, _ := BuildWithEvidence(terms, docs, EvidenceConfig{Sources: []TaxonomicEvidence{ev}})
+	f := build(t, "evidence", terms, docs, BuildConfig{Taxonomy: Taxonomy{Sources: []TaxonomicEvidence{ev}}})
 	x, _ := f.Find("x")
 	y, _ := f.Find("y")
 	if x.Parent != nil || y.Parent != nil {
@@ -258,10 +250,7 @@ func TestBuildWithEvidenceDirectionalityStillHolds(t *testing.T) {
 func TestDuplicateTermsHandled(t *testing.T) {
 	terms := []string{"a", "a", "b"}
 	docs := docsWith("a,b", "a,b", "a")
-	f, err := BuildSubsumption(terms, docs, SubsumptionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	if f.Size() != 2 {
 		t.Fatalf("size = %d, want 2", f.Size())
 	}
@@ -277,19 +266,10 @@ func TestSaturatedTermsStayRoots(t *testing.T) {
 		docs = append(docs, []string{"everywhere", "common"})
 	}
 	docs = append(docs, []string{"common"})
-	f, err := BuildSubsumption(terms, docs, SubsumptionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	ev, _ := f.Find("everywhere")
 	if ev.Parent != nil {
 		t.Fatalf("saturated term attached under %q", ev.Parent.Term)
-	}
-	// Disabling the cutoff allows the attachment.
-	f2, _ := BuildSubsumption(terms, docs, SubsumptionConfig{MaxChildDFFraction: 2})
-	ev2, _ := f2.Find("everywhere")
-	if ev2.Parent == nil {
-		t.Fatal("cutoff-disabled build should attach the frequent term")
 	}
 }
 
@@ -297,7 +277,7 @@ func TestParentMustBeMoreGeneral(t *testing.T) {
 	// df(x) <= df(y) blocks parenthood even when P(x|y) is high.
 	terms := []string{"a", "b"}
 	docs := docsWith("a,b", "a,b", "a,b", "a,b", "b", "", "", "", "", "")
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	a, _ := f.Find("a")
 	if a.Parent == nil || a.Parent.Term != "b" {
 		t.Fatalf("a (df=4) should sit under b (df=5), got %+v", a.Parent)
@@ -327,7 +307,8 @@ func TestQuickSubsumptionInvariants(t *testing.T) {
 				}
 			}
 		}
-		forest, err := BuildSubsumption(terms, docs, SubsumptionConfig{MinDF: 1})
+		b, _ := Lookup("subsumption")
+		forest, err := b.Build(context.Background(), terms, docs, BuildConfig{MinDF: 1})
 		if err != nil {
 			return false
 		}
@@ -356,7 +337,7 @@ func TestQuickSubsumptionInvariants(t *testing.T) {
 
 func TestExportDOT(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	var buf strings.Builder
 	if err := WriteDOT(&buf, f, "test"); err != nil {
 		t.Fatal(err)
@@ -371,7 +352,7 @@ func TestExportDOT(t *testing.T) {
 
 func TestExportJSONRoundTrip(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	var buf strings.Builder
 	if err := WriteJSON(&buf, f); err != nil {
 		t.Fatal(err)
@@ -406,7 +387,7 @@ func TestFromJSONRejectsBadInput(t *testing.T) {
 
 func TestFormatTree(t *testing.T) {
 	terms, docs := subsumptionFixture()
-	f, _ := BuildSubsumption(terms, docs, SubsumptionConfig{})
+	f := build(t, "subsumption", terms, docs, BuildConfig{})
 	out := FormatTree(f)
 	if !strings.Contains(out, "  france (3)") {
 		t.Fatalf("tree format wrong:\n%s", out)

@@ -10,18 +10,30 @@ import (
 // co-occurrence builder's pairwise sweep. The dense formulation compares
 // all n·(n−1) term pairs, but only pairs whose posting lists intersect
 // can ever relate: P(x|y) ≥ θ needs co-occurrence, Jaccard similarity is
-// zero without it, and the co-occurrence component of combined evidence
-// vanishes. So instead of sweeping the full cross product, the builders
-// walk an inverted "term → candidate partners" index derived from the
-// bitset posting lists and score only pairs with co-occurrence ≥ 1 —
-// on sparse corpora an order of magnitude fewer evaluations (see the
-// hierarchy.pairs.* counters and DESIGN §8 for the cost model).
+// zero without it, and without co-occurrence the combined evidence score
+// stays below its threshold. So instead of sweeping the full cross
+// product, the builders walk an inverted "term → candidate partners"
+// index derived from the bitset posting lists and score only pairs with
+// co-occurrence ≥ 1 — on sparse corpora an order of magnitude fewer
+// evaluations (see the hierarchy.pairs.* counters and DESIGN §8 for the
+// cost model).
 //
 // The generator is deliberately deterministic: partners stream in
 // ascending slot order with exact co-occurrence counts, so a pruned
-// sweep visits a subset of the dense sweep's pairs with identical
-// arithmetic — the dense and pruned forests are byte-identical, which
-// TestPrunedSweepEquivalence and FuzzPairStream pin.
+// sweep visits a subset of the all-pairs sweep's pairs with identical
+// arithmetic. The differential tests inject an all-pairs candidateSource
+// through BuildConfig.candidates and require byte-identical forests
+// (TestPrunedSweepEquivalence); FuzzPairStream pins the generator itself.
+
+// candidateSource streams the partners a sweep scores for one term. The
+// pairIndex is the only production implementation.
+type candidateSource interface {
+	// newScratch returns one worker's reusable state for forCandidates.
+	newScratch() *pairScratch
+	// forCandidates calls fn for term yi's partners xi with their
+	// co-occurrence counts, in ascending slot order.
+	forCandidates(yi int, sc *pairScratch, minCo int, fn func(xi, co int))
+}
 
 // pairIndex is the inverted doc → alive-term index over a termStats. It
 // is immutable after construction and shared by all sweep workers; the

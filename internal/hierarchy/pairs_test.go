@@ -52,22 +52,43 @@ func sweepCorpus() (terms []string, docTerms [][]string) {
 	return terms, docTerms
 }
 
-// sweepConfigs enumerates the configurations the differential test runs
-// every builder under: both worker counts the invariants test uses, and
-// for the evidence builder a threshold that actually arms its pruning
-// gate (threshold 0.6 > maxZeroCoScore 0.5 with one unit-weight source).
+// gateFixture sits exactly on the pruning gates, so a pruned sweep that
+// drops one pair too many diverges from the all-pairs reference:
+//
+//   - P(g_top|g_mid) = 4/5 is exactly θ = 0.8, so a subsumption floor
+//     one too high (co = 5) drops an attachment;
+//   - g_leaf co-occurs with g_mid once, and fixtureConfig's endorsement
+//     lifts that single co-occurrence to (1/4 + 1)/2 = 0.625 ≥ 0.6, so
+//     the evidence sweep needs every co ≥ 1 pair;
+//   - g_lone never co-occurs with g_top, whose endorsement alone scores
+//     the zero-co ceiling (0 + 1)/2 = 0.5, just under the 0.6 threshold.
+func gateFixture() (terms []string, docTerms [][]string) {
+	terms = []string{"g_top", "g_mid", "g_leaf", "g_lone"}
+	docTerms = docsWith(
+		"g_top,g_mid", "g_top,g_mid", "g_top,g_mid", "g_top,g_mid",
+		"g_mid,g_leaf", "g_leaf", "g_leaf", "g_leaf",
+		"g_top", "g_top", "g_top", "g_top",
+		"g_lone", "g_lone", "g_lone",
+		"", "", "", "", "", // padding keeps g_top below saturation
+	)
+	return terms, docTerms
+}
+
+// sweepConfigs is the configuration the differential test runs every
+// builder under: the fixture taxonomy (so the evidence builder's zero-co
+// ceiling of 0.5 sits right below its 0.6 threshold) with metrics on.
 func sweepConfigs(workers int) BuildConfig {
 	cfg := fixtureConfig(workers)
 	cfg.Metrics = obsv.NewRegistry()
 	return cfg
 }
 
-// TestPrunedSweepEquivalence is the differential wall for the tentpole:
-// every registered builder must render a byte-identical forest whether
-// the pairwise sweep runs pruned (the default, candidate pairs from the
-// pairIndex) or dense (the pre-pruning all-pairs reference kept behind
-// the unexported denseSweep flag), at 1 and 8 workers, on both the small
-// fixture and a larger skewed corpus. CI runs this under -race.
+// TestPrunedSweepEquivalence is the differential wall for the pruned
+// sweeps: every builder must render a byte-identical forest whether the
+// pairwise sweep runs pruned (production, candidate pairs from the
+// pairIndex) or over the test-only all-pairs reference (buildReference),
+// at 1 and 8 workers, on the small fixture, a larger skewed corpus and
+// the gate fixture. CI runs this under -race.
 func TestPrunedSweepEquivalence(t *testing.T) {
 	type corpus struct {
 		label    string
@@ -76,12 +97,13 @@ func TestPrunedSweepEquivalence(t *testing.T) {
 	}
 	ft, fd := builderFixture()
 	st, sd := sweepCorpus()
-	corpora := []corpus{{"fixture", ft, fd}, {"skewed", st, sd}}
+	gt, gd := gateFixture()
+	corpora := []corpus{{"fixture", ft, fd}, {"skewed", st, sd}, {"gates", gt, gd}}
 
 	for _, name := range Names() {
-		b, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("Lookup(%q) failed", name)
+		b, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for _, c := range corpora {
 			for _, workers := range []int{1, 8} {
@@ -93,14 +115,8 @@ func TestPrunedSweepEquivalence(t *testing.T) {
 					}
 					checkForestInvariants(t, pruned)
 
-					dcfg := sweepConfigs(workers)
-					dcfg.denseSweep = true
-					dense, err := b.Build(context.Background(), c.terms, c.docTerms, dcfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := FormatTree(pruned), FormatTree(dense); got != want {
-						t.Errorf("pruned sweep diverges from dense reference:\n--- pruned ---\n%s\n--- dense ---\n%s", got, want)
+					if got, want := FormatTree(pruned), buildReference(t, name, c.terms, c.docTerms, sweepConfigs(workers)); got != want {
+						t.Errorf("pruned sweep diverges from all-pairs reference:\n--- pruned ---\n%s\n--- reference ---\n%s", got, want)
 					}
 				})
 			}
@@ -174,13 +190,7 @@ func TestAgglomerativeDegeneratePostings(t *testing.T) {
 		t.Errorf("co-occurring pair did not cluster: b's parent = %v", node)
 	}
 
-	dcfg := cfg
-	dcfg.denseSweep = true
-	dense, err := b.Build(context.Background(), terms, docTerms, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FormatTree(pruned), FormatTree(dense); got != want {
+	if got, want := FormatTree(pruned), buildReference(t, "agglomerative", terms, docTerms, cfg); got != want {
 		t.Errorf("degenerate corpus: sparse diverges from dense:\n--- sparse ---\n%s\n--- dense ---\n%s", got, want)
 	}
 }

@@ -6,8 +6,7 @@
 // P(y|x) < 1, with probabilities estimated from document co-occurrence.
 //
 // Construction is pluggable: every strategy implements Builder and is
-// selected by name through the Register/Lookup/Names registry. Four are
-// built in — "subsumption" (the paper's choice), "treemin" (a
+// selected by name through Lookup. There are four — "subsumption" (the paper's choice), "treemin" (a
 // Stoica–Hearst-style tree-minimization builder over WordNet hypernym
 // paths, the prior work the paper contrasts with), "evidence" (a
 // Snow-style evidence-combination builder, the "newer algorithms [5] may
@@ -17,7 +16,6 @@ package hierarchy
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/parallel"
@@ -60,67 +58,27 @@ func (f *Forest) Walk(fn func(n *Node, depth int)) {
 	}
 }
 
-// SubsumptionConfig parameterizes BuildSubsumption.
-//
-// Deprecated: use BuildConfig with the "subsumption" Builder; the fields
-// map one-to-one. This struct is kept so external callers compile.
-type SubsumptionConfig struct {
-	// Threshold is θ in P(x|y) ≥ θ; 0 selects the standard 0.8.
-	Threshold float64
-	// MinDF drops terms observed in fewer documents; 0 selects 2.
-	MinDF int
-	// MaxChildDFFraction as in BuildConfig; 0 selects 0.6.
-	MaxChildDFFraction float64
-	// Workers as in BuildConfig.
-	Workers int
-}
+const (
+	// subsumptionThreshold is θ in P(x|y) ≥ θ; the paper uses 0.8.
+	subsumptionThreshold = 0.8
+	// maxChildDFFraction: a term present in more than this fraction of
+	// the collection is a facet DIMENSION — it stays a root and is never
+	// attached as a child (at such densities P(x|y) ≥ θ holds against
+	// almost any x by saturation, not by meaning).
+	maxChildDFFraction = 0.6
+)
 
-// BuildSubsumption builds a subsumption forest over the given terms.
-// docTerms lists, for every document, which of the terms occur in it
-// (term strings must come from terms; unknown strings are ignored).
-//
-// For every term y, the chosen parent is the most specific subsumer: the
-// subsuming term x with the smallest df(x) (ties broken by higher P(x|y),
-// then lexicographically), which produces deeper, more informative trees
+// subsumptionBuilder is the "subsumption" strategy. For every term y,
+// the chosen parent is the most specific subsumer: the subsuming term x
+// with the smallest df(x) (ties broken by higher P(x|y), then
+// lexicographically), which produces deeper, more informative trees
 // than attaching everything to the most frequent subsumer.
-func BuildSubsumption(terms []string, docTerms [][]string, cfg SubsumptionConfig) (*Forest, error) {
-	return BuildSubsumptionContext(context.Background(), terms, docTerms, cfg)
-}
-
-// BuildSubsumptionContext is BuildSubsumption with cancellation: ctx is
-// checked between terms of the sharded O(terms²) sweep, and a canceled
-// build returns ctx's error instead of a partially attached forest.
-func BuildSubsumptionContext(ctx context.Context, terms []string, docTerms [][]string, cfg SubsumptionConfig) (*Forest, error) {
-	return subsumptionBuilder{}.Build(ctx, terms, docTerms, BuildConfig{
-		Threshold:          cfg.Threshold,
-		MinDF:              cfg.MinDF,
-		MaxChildDFFraction: cfg.MaxChildDFFraction,
-		Workers:            cfg.Workers,
-	})
-}
-
-// subsumptionBuilder is the registered "subsumption" strategy.
 type subsumptionBuilder struct{}
-
-// Name implements Builder.
-func (subsumptionBuilder) Name() string { return "subsumption" }
 
 // Build implements Builder.
 func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig) (*Forest, error) {
-	if cfg.Threshold == 0 {
-		cfg.Threshold = 0.8
-	}
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
-		return nil, fmt.Errorf("hierarchy: threshold %v outside [0,1]", cfg.Threshold)
-	}
-	if cfg.MinDF == 0 {
-		cfg.MinDF = 2
-	}
-	if cfg.MaxChildDFFraction == 0 {
-		cfg.MaxChildDFFraction = 0.6
-	}
-	st := newTermStats(terms, docTerms, cfg.MinDF)
-	uniq, sets, df, alive, nDocs := st.uniq, st.sets, st.df, st.alive, st.nDocs
+	st := newTermStats(terms, docTerms, cfg.minDF())
+	uniq, df, alive, nDocs := st.uniq, st.df, st.alive, st.nDocs
 
 	// Parent selection. A subsumer must be strictly more general
 	// (df(x) > df(y)): with P(x|y)·df(y) = P(y|x)·df(x), this is exactly
@@ -131,79 +89,54 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 	// Each term's parent is selected independently from the frozen
 	// bitsets, so the sweep shards across workers; every worker writes
 	// only its own terms' slots, and the slot array is folded into
-	// parentOf in deterministic order afterwards. The default sweep is
-	// pruned: P(x|y) ≥ θ > 0 needs co-occurrence, so only the candidate
-	// partners the pairIndex yields can subsume y and everything else is
-	// provably skippable. The dense all-pairs reference survives behind
-	// cfg.denseSweep for the differential tests.
+	// parentOf in deterministic order afterwards. The sweep is pruned:
+	// P(x|y) ≥ θ > 0 needs co-occurrence, so only the candidate partners
+	// the pairIndex yields can subsume y and everything else is provably
+	// skippable.
 	parents := make([]int, len(alive))
-	maxChildDF := int(cfg.MaxChildDFFraction * float64(nDocs))
-	var ix *pairIndex
-	var scratches []*pairScratch
-	var counts []pairCounts
-	if !cfg.denseSweep {
-		ix = newPairIndex(st)
-		nw := sweepWorkers(cfg.Workers)
-		scratches = make([]*pairScratch, nw)
-		counts = make([]pairCounts, nw)
-	}
+	maxChildDF := int(maxChildDFFraction * float64(nDocs))
+	src := cfg.pairSource(st)
+	nw := sweepWorkers(cfg.Workers)
+	scratches := make([]*pairScratch, nw)
+	counts := make([]pairCounts, nw)
 	err := parallel.For(ctx, len(alive), cfg.Workers, func(w, yi int) {
 		parents[yi] = -1
 		y := alive[yi]
 		// Terms rejected by the cheap structural guards skip their whole
 		// dense row — count it so candidate+skipped always reconstructs
 		// the all-pairs iteration space.
-		if df[y] == 0 { // degenerate posting list: nothing co-occurs with y
-			if !cfg.denseSweep {
-				counts[w].skipped += int64(len(alive) - 1)
-			}
-			return
-		}
-		if nDocs > 0 && df[y] > maxChildDF { // saturated term: keep as a facet-dimension root
-			if !cfg.denseSweep {
-				counts[w].skipped += int64(len(alive) - 1)
-			}
+		if df[y] == 0 || // degenerate posting list: nothing co-occurs with y
+			nDocs > 0 && df[y] > maxChildDF { // saturated term: keep as a facet-dimension root
+			counts[w].skipped += int64(len(alive) - 1)
 			return
 		}
 		var best parentCand
 		have := false
-		consider := func(x, co int) {
+		sc := scratches[w]
+		if sc == nil {
+			sc = src.newScratch()
+			scratches[w] = sc
+		}
+		yielded := int64(0)
+		src.forCandidates(yi, sc, thresholdMinCo(subsumptionThreshold, df[y]), func(xi, co int) {
+			yielded++
+			x := alive[xi]
+			if df[x] <= df[y] {
+				return
+			}
+			counts[w].evaluated++
 			pxy := float64(co) / float64(df[y])
 			pyx := float64(co) / float64(df[x])
-			if pxy < cfg.Threshold || pyx >= 1 {
+			if pxy < subsumptionThreshold || pyx >= 1 {
 				return
 			}
 			cand := parentCand{idx: x, pxy: pxy, dfx: df[x], term: uniq[x]}
 			if !have || moreSpecific(&cand, &best) {
 				best, have = cand, true
 			}
-		}
-		if cfg.denseSweep {
-			for _, x := range alive {
-				if x == y || df[x] <= df[y] {
-					continue
-				}
-				consider(x, sets[x].AndCount(sets[y]))
-			}
-		} else {
-			sc := scratches[w]
-			if sc == nil {
-				sc = ix.newScratch()
-				scratches[w] = sc
-			}
-			yielded := int64(0)
-			ix.forCandidates(yi, sc, thresholdMinCo(cfg.Threshold, df[y]), func(xi, co int) {
-				yielded++
-				x := alive[xi]
-				if df[x] <= df[y] {
-					return
-				}
-				counts[w].evaluated++
-				consider(x, co)
-			})
-			counts[w].candidate += yielded
-			counts[w].skipped += int64(len(alive)-1) - yielded
-		}
+		})
+		counts[w].candidate += yielded
+		counts[w].skipped += int64(len(alive)-1) - yielded
 		if have {
 			parents[yi] = best.idx
 		}
@@ -211,9 +144,7 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.denseSweep {
-		publishPairCounts(cfg.Metrics, counts, len(alive))
-	}
+	publishPairCounts(cfg.Metrics, counts, len(alive))
 	parentOf := make(map[int]int)
 	for yi, y := range alive {
 		if parents[yi] >= 0 {
@@ -227,9 +158,9 @@ func (subsumptionBuilder) Build(ctx context.Context, terms []string, docTerms []
 // P(x|y) = co/dfY reaches threshold under float64 arithmetic — the
 // generator floor that lets the sweep skip pairs the P(x|y) ≥ θ test
 // would reject anyway. The ceil estimate is corrected against the exact
-// float predicate the scoring code uses (0.8·5 rounds above 4 in
-// float64, yet 4.0/5.0 == 0.8), so the pruned sweep never drops a pair
-// the dense reference would accept.
+// float predicate the scoring code uses (θ·df and co/df round
+// independently in float64), so the pruned sweep never drops a pair the
+// all-pairs reference would accept.
 func thresholdMinCo(threshold float64, dfY int) int {
 	c := int(math.Ceil(threshold * float64(dfY)))
 	if c < 1 {

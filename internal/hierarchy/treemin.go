@@ -5,27 +5,14 @@ import (
 	"sort"
 )
 
-// ChainProvider supplies is-a ancestor chains (nearest first) for a term,
-// e.g. WordNet hypernym chains via wordnet.DB. Terms without a chain
-// return nil.
-type ChainProvider interface {
-	Chain(term string) []string
-}
-
-// ChainFunc adapts a function to ChainProvider.
-type ChainFunc func(term string) []string
-
-// Chain implements ChainProvider.
-func (f ChainFunc) Chain(term string) []string { return f(term) }
-
-// BuildTreeMinimization implements the Stoica–Hearst approach the paper
+// buildTreeMinimization implements the Stoica–Hearst approach the paper
 // cites as prior work (HLT-NAACL 2004/2007): each term contributes its
 // hypernym path; the paths are merged into one tree, and the tree is then
 // minimized by eliminating every internal node that is not itself an
 // input term and has exactly one child. Terms with no chain become
 // roots — which is precisely the named-entity weakness the paper's
 // technique addresses.
-func BuildTreeMinimization(terms []string, chains ChainProvider) *Forest {
+func buildTreeMinimization(terms []string, chains ChainProvider) *Forest {
 	forest := &Forest{index: map[string]*Node{}}
 	nodeFor := func(term string) *Node {
 		if n, ok := forest.index[term]; ok {
@@ -99,28 +86,23 @@ func BuildTreeMinimization(terms []string, chains ChainProvider) *Forest {
 	return forest
 }
 
-// treeminBuilder is the registered "treemin" strategy: it adapts
-// BuildTreeMinimization to the Builder contract using cfg.Chains as the
-// chain provider. docTerms and the co-occurrence knobs are ignored — the
-// hierarchy comes entirely from the taxonomy chains, so there is no
-// pairwise co-occurrence sweep to prune: the candidate-pair generator
-// (pairIndex) and the hierarchy.pairs.* counters do not apply here, and
-// cfg.denseSweep is a no-op. Cost is O(Σ chain length), not O(terms²).
+// treeminBuilder is the "treemin" strategy: buildTreeMinimization over
+// cfg.Taxonomy.Chains. docTerms and the co-occurrence settings are
+// ignored — the hierarchy comes entirely from the taxonomy chains, so
+// there is no pairwise sweep (no candidate-pair generator, no
+// hierarchy.pairs.* counters). Cost is O(Σ chain length), not O(terms²).
 type treeminBuilder struct{}
-
-// Name implements Builder.
-func (treeminBuilder) Name() string { return "treemin" }
 
 // Build implements Builder.
 func (treeminBuilder) Build(ctx context.Context, terms []string, docTerms [][]string, cfg BuildConfig) (*Forest, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	chains := cfg.Chains
+	chains := cfg.Taxonomy.Chains
 	if chains == nil {
 		chains = ChainFunc(func(string) []string { return nil })
 	}
-	return BuildTreeMinimization(terms, chains), nil
+	return buildTreeMinimization(terms, chains), nil
 }
 
 func isAncestorNode(a, b *Node) bool {

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/browse"
@@ -14,7 +13,7 @@ import (
 // runEpoch executes one incremental rebuild: snapshot the pipeline state
 // under lock, persist the epoch's intake, re-run Step 3 candidate
 // selection over the incrementally maintained DF tables, rebuild the
-// subsumption hierarchy, assemble a fresh browsing interface over the
+// hierarchy with the configured builder, assemble a fresh browsing interface over the
 // immutable corpus snapshot, and publish it with one atomic swap. Only
 // the snapshot step holds the intake lock; extraction and intake continue
 // while the rebuild runs. runEpoch is never called concurrently (it runs
@@ -61,18 +60,10 @@ func (ing *Ingester) runEpoch() error {
 	res := core.AnalyzeTables(snap.Dict(), dfD, dfC, ctxTerms, n, ing.cfg.TopK, core.AnalyzeOptions{Workers: ing.cfg.Workers})
 	terms := res.FacetTermStrings()
 	docTerms := core.AssignDocTerms(snap, ctxRows, corroborated, terms)
-	builderName := ing.cfg.HierarchyBuilder
-	if builderName == "" {
-		builderName = "subsumption"
-	}
-	builder, ok := hierarchy.Lookup(builderName)
-	if !ok {
-		return fmt.Errorf("ingest: unknown hierarchy builder %q", builderName)
-	}
-	forest, err := builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{
-		Threshold: ing.cfg.SubsumptionThreshold,
-		Workers:   ing.cfg.Workers,
-		Metrics:   ing.cfg.Metrics, // hierarchy.pairs.* pruning counters per epoch; nil disables
+	forest, err := ing.builder.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{
+		Workers:  ing.cfg.Workers,
+		Metrics:  ing.cfg.Metrics, // hierarchy.pairs.* pruning counters per epoch; nil disables
+		Taxonomy: ing.cfg.Taxonomy,
 	})
 	if err != nil {
 		return err

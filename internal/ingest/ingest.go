@@ -73,13 +73,13 @@ type Config struct {
 	// TopK bounds the number of facet terms per rebuild (0 = 200, the
 	// paper's working value).
 	TopK int
-	// SubsumptionThreshold is θ for hierarchy construction (0 = 0.8).
-	SubsumptionThreshold float64
-	// HierarchyBuilder selects the hierarchy strategy by registry name
-	// (hierarchy.Names); "" = "subsumption". Taxonomy-backed builders
-	// ("evidence", "treemin") run without external sources here — the
-	// live pipeline has no environment wiring — so co-occurrence
-	// builders ("subsumption", "agglomerative") are the useful choices.
+	// Taxonomy is the is-a knowledge the taxonomy-backed builders
+	// ("evidence", "treemin") draw on — normally facet's CoreTaxonomy, so
+	// live epochs build the same hierarchy as the batch facade. The zero
+	// value leaves them without external sources.
+	Taxonomy hierarchy.Taxonomy
+	// HierarchyBuilder selects the hierarchy strategy by name
+	// (hierarchy.Names); "" = "subsumption".
 	HierarchyBuilder string
 	// MaxImportantPerDoc caps important terms per document (0 = no cap).
 	MaxImportantPerDoc int
@@ -131,9 +131,10 @@ type Config struct {
 
 // Ingester is a running live-ingestion pipeline.
 type Ingester struct {
-	cfg   Config
-	cache *lruCache
-	queue chan *textdb.Document
+	cfg     Config
+	builder hierarchy.Builder // Config.HierarchyBuilder, resolved once
+	cache   *lruCache
+	queue   chan *textdb.Document
 
 	// Fallible views of the configured dependencies, precomputed once so
 	// the per-document hot path skips the interface-upgrade assertions.
@@ -202,10 +203,9 @@ func New(cfg Config) (*Ingester, error) {
 	if len(cfg.Resources) == 0 {
 		return nil, fmt.Errorf("ingest: no resources configured")
 	}
-	if cfg.HierarchyBuilder != "" {
-		if _, ok := hierarchy.Lookup(cfg.HierarchyBuilder); !ok {
-			return nil, fmt.Errorf("ingest: unknown hierarchy builder %q", cfg.HierarchyBuilder)
-		}
+	builder, err := hierarchy.Lookup(cfg.HierarchyBuilder)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -225,6 +225,7 @@ func New(cfg Config) (*Ingester, error) {
 	corpus := textdb.NewCorpus()
 	ing := &Ingester{
 		cfg:           cfg,
+		builder:       builder,
 		cache:         newLRUCache(cfg.CacheSize),
 		queue:         make(chan *textdb.Document, cfg.QueueSize),
 		corpus:        corpus,

@@ -1,6 +1,7 @@
 package mturk
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,9 @@ import (
 	"repro/internal/newsgen"
 	"repro/internal/ontology"
 )
+
+// subsumption is the paper's hierarchy builder; the fixtures use it.
+var subsumption, _ = hierarchy.Lookup("subsumption")
 
 func testKB(t *testing.T) *ontology.KB {
 	t.Helper()
@@ -213,7 +217,7 @@ func buildForest(t *testing.T, parentChild map[string][]string, roots []string) 
 	for i, n := 0, 3*len(docs); i < n; i++ {
 		docs = append(docs, nil)
 	}
-	f, err := hierarchy.BuildSubsumption(terms, docs, hierarchy.SubsumptionConfig{})
+	f, err := subsumption.Build(context.Background(), terms, docs, hierarchy.BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func TestJudgePrecisionBadHierarchy(t *testing.T) {
 func TestJudgePrecisionEmptyForest(t *testing.T) {
 	kb := testKB(t)
 	pool := NewPool(kb, Config{Seed: 9})
-	f, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	f, _ := subsumption.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	j, p := pool.JudgePrecision(f)
 	if j != nil || p != 0 {
 		t.Fatal("empty forest should judge to nothing")

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,9 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/textdb"
 )
+
+// subsumption is the paper's hierarchy builder; the fixtures use it.
+var subsumption, _ = hierarchy.Lookup("subsumption")
 
 func testServer(t *testing.T, opts ...Option) *Server {
 	t.Helper()
@@ -36,7 +40,7 @@ func testServer(t *testing.T, opts ...Option) *Server {
 		})
 	}
 	terms := []string{"europe", "france", "germany", "sports"}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{MinDF: 1, MaxChildDFFraction: 0.99})
+	forest, err := subsumption.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestPublishSwapsInterface(t *testing.T) {
 
 	corpus := textdb.NewCorpus()
 	corpus.Add(&textdb.Document{Title: "solo", Source: "wire", Text: "one lonely document", Date: time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)})
-	forest, err := hierarchy.BuildSubsumption([]string{"misc"}, [][]string{{"misc"}}, hierarchy.SubsumptionConfig{MinDF: 1})
+	forest, err := subsumption.Build(context.Background(), []string{"misc"}, [][]string{{"misc"}}, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package userstudy
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/browse"
@@ -9,6 +10,9 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/textdb"
 )
+
+// subsumption is the paper's hierarchy builder; the fixtures use it.
+var subsumption, _ = hierarchy.Lookup("subsumption")
 
 // buildFixture assembles a small dataset with a ground-truth-based
 // hierarchy (skipping facet extraction, which has its own tests): each
@@ -36,7 +40,7 @@ func buildFixture(t *testing.T) (*browse.Interface, *newsgen.Dataset) {
 			}
 		}
 	}
-	forest, err := hierarchy.BuildSubsumption(terms, docTerms, hierarchy.SubsumptionConfig{Threshold: 0.6, MinDF: 1})
+	forest, err := subsumption.Build(context.Background(), terms, docTerms, hierarchy.BuildConfig{MinDF: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunEmptyCorpus(t *testing.T) {
 	corpus := textdb.NewCorpus()
-	forest, _ := hierarchy.BuildSubsumption(nil, nil, hierarchy.SubsumptionConfig{})
+	forest, _ := subsumption.Build(context.Background(), nil, nil, hierarchy.BuildConfig{})
 	iface, err := browse.Build(corpus, forest, nil)
 	if err != nil {
 		t.Fatal(err)
