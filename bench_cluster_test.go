@@ -1,14 +1,10 @@
 package facet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -60,9 +56,8 @@ func benchTopology(b *testing.B, n int) (coordinator *httptest.Server, cleanup f
 // out — at 1, 2, and 4 shards. On a single-machine loopback topology
 // wider fan-out mostly adds merge and HTTP overhead; the point of the
 // curve is to price that overhead, which is what a deployment trades for
-// per-shard corpus capacity. Results land in BENCH_cluster.json.
+// per-shard corpus capacity.
 func BenchmarkClusterFanout(b *testing.B) {
-	queriesPerSec := map[int]float64{}
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards_%d", n), func(b *testing.B) {
 			coord, cleanup := benchTopology(b, n)
@@ -81,13 +76,8 @@ func BenchmarkClusterFanout(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			rate := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(rate, "queries/s")
-			queriesPerSec[n] = rate
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
-	}
-	if err := writeClusterBench(queriesPerSec); err != nil {
-		b.Logf("writeClusterBench: %v", err)
 	}
 }
 
@@ -105,77 +95,4 @@ func benchGet(client *http.Client, url string) error {
 		return fmt.Errorf("GET %s: %d", url, resp.StatusCode)
 	}
 	return nil
-}
-
-// clusterPoint is one fan-out width's measured rate in BENCH_cluster.json.
-type clusterPoint struct {
-	Shards        int     `json:"shards"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	MeanLatencyMS float64 `json:"mean_latency_ms"`
-}
-
-// clusterBench is the BENCH_cluster.json envelope — the same trajectory
-// shape as BENCH_pipeline.json and BENCH_serve.json.
-type clusterBench struct {
-	Benchmark  string         `json:"benchmark"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Points     []clusterPoint `json:"points"`
-}
-
-func clusterBenchEnvelope(queriesPerSec map[int]float64) ([]byte, error) {
-	widths := make([]int, 0, len(queriesPerSec))
-	for n := range queriesPerSec {
-		widths = append(widths, n)
-	}
-	sort.Ints(widths)
-	out := clusterBench{Benchmark: "BenchmarkClusterFanout", GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, n := range widths {
-		rate := queriesPerSec[n]
-		lat := 0.0
-		if rate > 0 {
-			lat = 1000 / rate
-		}
-		out.Points = append(out.Points, clusterPoint{Shards: n, QueriesPerSec: rate, MeanLatencyMS: lat})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// writeClusterBench stores the fan-out width → query-rate curve next to
-// the package sources.
-func writeClusterBench(queriesPerSec map[int]float64) error {
-	if len(queriesPerSec) == 0 {
-		return nil
-	}
-	data, err := clusterBenchEnvelope(queriesPerSec)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_cluster.json", data, 0o644)
-}
-
-// TestClusterBenchEnvelope pins the BENCH_cluster.json schema without
-// running the benchmark: sorted points, shards/rate/latency fields, and
-// the shared trajectory envelope.
-func TestClusterBenchEnvelope(t *testing.T) {
-	data, err := clusterBenchEnvelope(map[int]float64{4: 250, 1: 1000, 2: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got clusterBench
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Benchmark != "BenchmarkClusterFanout" || got.GOMAXPROCS < 1 {
-		t.Fatalf("envelope header %+v", got)
-	}
-	if len(got.Points) != 3 || got.Points[0].Shards != 1 || got.Points[2].Shards != 4 {
-		t.Fatalf("points not sorted by width: %+v", got.Points)
-	}
-	if got.Points[0].MeanLatencyMS != 1.0 {
-		t.Fatalf("latency derivation wrong: %+v", got.Points[0])
-	}
 }

@@ -1,9 +1,6 @@
 package facet
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/browse"
@@ -44,9 +41,7 @@ func benchInterface(b *testing.B) *browse.Interface {
 
 // BenchmarkBrowseQuery measures query serving: cold (cache emptied every
 // iteration, so the posting-list intersection runs) and warm (every
-// iteration hits the LRU) at 1-facet and 3-facet conjunctions. After the
-// sub-benchmarks finish it writes the rates to BENCH_serve.json in the
-// same trajectory envelope as BENCH_pipeline.json.
+// iteration hits the LRU) at 1-facet and 3-facet conjunctions.
 func BenchmarkBrowseQuery(b *testing.B) {
 	iface := benchInterface(b)
 	roots := iface.Children("", browse.Selection{})
@@ -71,7 +66,6 @@ func BenchmarkBrowseQuery(b *testing.B) {
 		{"warm_1facet", sel1, false},
 		{"warm_3facet", sel3, false},
 	}
-	qps := map[string]float64{}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			iface.ResetQueryCache()
@@ -86,86 +80,7 @@ func BenchmarkBrowseQuery(b *testing.B) {
 				}
 				iface.MatchCount(v.sel)
 			}
-			rate := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(rate, "queries/s")
-			qps[v.name] = rate
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
-	}
-	if err := writeServeBench(qps); err != nil {
-		b.Logf("writeServeBench: %v", err)
-	}
-}
-
-// servePoint is one variant's measured rate in BENCH_serve.json.
-type servePoint struct {
-	Variant       string  `json:"variant"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	SpeedupVsCold float64 `json:"speedup_vs_cold"`
-}
-
-// serveBench is the BENCH_serve.json envelope — the same trajectory
-// shape as BENCH_pipeline.json (benchmark, gomaxprocs, points).
-type serveBench struct {
-	Benchmark  string       `json:"benchmark"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Points     []servePoint `json:"points"`
-}
-
-// writeServeBench stores the cold/warm query-rate curve next to the
-// package sources; warm variants report their speedup over the matching
-// cold variant.
-func writeServeBench(qps map[string]float64) error {
-	if len(qps) == 0 {
-		return nil
-	}
-	out := serveBench{Benchmark: "BenchmarkBrowseQuery", GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for _, name := range []string{"cold_1facet", "cold_3facet", "warm_1facet", "warm_3facet"} {
-		rate, ok := qps[name]
-		if !ok {
-			continue
-		}
-		cold := qps["cold"+name[4:]]
-		sp := 1.0
-		if cold > 0 {
-			sp = rate / cold
-		}
-		out.Points = append(out.Points, servePoint{Variant: name, QueriesPerSec: rate, SpeedupVsCold: sp})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644)
-}
-
-// TestBenchServeSchema smoke-parses BENCH_serve.json when present (CI
-// regenerates it with -benchtime 1x and then runs this), so a format
-// drift in the writer fails loudly rather than silently producing an
-// unparseable trajectory.
-func TestBenchServeSchema(t *testing.T) {
-	data, err := os.ReadFile("BENCH_serve.json")
-	if err != nil {
-		if os.IsNotExist(err) {
-			t.Skip("BENCH_serve.json not present (run BenchmarkBrowseQuery to produce it)")
-		}
-		t.Fatal(err)
-	}
-	var got serveBench
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("BENCH_serve.json does not parse: %v", err)
-	}
-	if got.Benchmark != "BenchmarkBrowseQuery" {
-		t.Fatalf("benchmark = %q, want BenchmarkBrowseQuery", got.Benchmark)
-	}
-	if got.GOMAXPROCS < 1 {
-		t.Fatalf("gomaxprocs = %d", got.GOMAXPROCS)
-	}
-	if len(got.Points) == 0 {
-		t.Fatal("no points")
-	}
-	for _, p := range got.Points {
-		if p.Variant == "" || p.QueriesPerSec <= 0 || p.SpeedupVsCold <= 0 {
-			t.Fatalf("malformed point %+v", p)
-		}
 	}
 }

@@ -7,11 +7,7 @@ package facet
 // cmd/experiments regenerates the full-size artifacts.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -197,7 +193,7 @@ func BenchmarkStageResourceWikiGraph(b *testing.B) { benchResource(b, eval.ResWi
 
 func benchResource(b *testing.B, name string) {
 	benchSetup(b)
-	r := benchLab.Resource(name)
+	r := benchLab.NewResources(name)[0]
 	terms := []string{"france", "political leaders", "war in iraq", "baseball", "stock market"}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -308,12 +304,8 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 
 // BenchmarkPipelineWorkers measures end-to-end pipeline throughput
 // (extract + hierarchy, docs/sec) across worker-pool sizes — the
-// runtime counterpart of the ISSUE acceptance criterion that sharding
-// scales. After the sub-benchmarks finish it records the curve in
-// BENCH_pipeline.json via writePipelineBench, so the scaling numbers
-// survive the run. On a single-CPU machine every worker count
-// collapses to ~the sequential rate; the file records whatever the
-// host could actually deliver.
+// check that sharding scales. On a single-CPU machine every worker count
+// collapses to ~the sequential rate.
 func BenchmarkPipelineWorkers(b *testing.B) {
 	env, err := NewSimulatedEnvironment(EnvConfig{Seed: 42})
 	if err != nil {
@@ -324,7 +316,6 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	docsPerSec := map[int]float64{}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprint(workers), func(b *testing.B) {
 			b.ReportAllocs()
@@ -344,67 +335,7 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			rate := float64(nDocs*b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(rate, "docs/s")
-			docsPerSec[workers] = rate
+			b.ReportMetric(float64(nDocs*b.N)/b.Elapsed().Seconds(), "docs/s")
 		})
 	}
-	if err := writePipelineBench(docsPerSec); err != nil {
-		b.Logf("writePipelineBench: %v", err)
-	}
-}
-
-// pipelineBench is the BENCH_pipeline.json envelope (the scaling
-// counterpart of serveBench for BENCH_serve.json). A recording is only
-// meaningful as a scaling curve when made on a multi-core host, so
-// either GOMAXPROCS > 1 or the recording must carry the explicit
-// single_core annotation — TestBenchPipelineSchema rejects everything
-// else, and CI re-records the file on an all-core runner.
-type pipelineBench struct {
-	Benchmark  string `json:"benchmark"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// SingleCore marks a curve recorded with only one CPU available:
-	// every worker count collapses to the sequential rate and the
-	// speedup column carries no signal.
-	SingleCore bool                 `json:"single_core,omitempty"`
-	Points     []pipelineBenchPoint `json:"points"`
-}
-
-type pipelineBenchPoint struct {
-	Workers    int     `json:"workers"`
-	DocsPerSec float64 `json:"docs_per_sec"`
-	Speedup    float64 `json:"speedup_vs_sequential"`
-}
-
-// writePipelineBench stores the worker-count → docs/sec curve from
-// BenchmarkPipelineWorkers as BENCH_pipeline.json next to the package
-// sources, with GOMAXPROCS recorded so a flat curve on a small host is
-// interpretable.
-func writePipelineBench(docsPerSec map[int]float64) error {
-	if len(docsPerSec) == 0 {
-		return nil
-	}
-	workers := make([]int, 0, len(docsPerSec))
-	for w := range docsPerSec {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	out := pipelineBench{
-		Benchmark:  "BenchmarkPipelineWorkers",
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		SingleCore: runtime.GOMAXPROCS(0) == 1,
-	}
-	base := docsPerSec[workers[0]]
-	for _, w := range workers {
-		sp := 0.0
-		if base > 0 {
-			sp = docsPerSec[w] / base
-		}
-		out.Points = append(out.Points, pipelineBenchPoint{Workers: w, DocsPerSec: docsPerSec[w], Speedup: sp})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644)
 }

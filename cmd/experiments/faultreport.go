@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -54,6 +55,11 @@ func faultReport(w io.Writer, seed uint64, workers int) error {
 		corpus.Add(&textdb.Document{Title: d.Title, Source: d.Source, Date: d.Date, Text: d.Text})
 	}
 
+	type service struct {
+		name              string
+		attempts, retries int64
+		backoff           time.Duration
+	}
 	type row struct {
 		rate     float64
 		jaccard  float64
@@ -63,6 +69,7 @@ func faultReport(w io.Writer, seed uint64, workers int) error {
 		degraded int
 		callTime time.Duration
 		backoff  time.Duration
+		services []service
 	}
 
 	runAt := func(rate float64) (map[string]bool, row, error) {
@@ -102,7 +109,7 @@ func faultReport(w io.Writer, seed uint64, workers int) error {
 		if err != nil {
 			return nil, row{}, err
 		}
-		res, err := p.Run(corpus)
+		res, err := p.RunContext(context.Background(), corpus)
 		if err != nil {
 			return nil, row{}, err
 		}
@@ -113,10 +120,17 @@ func faultReport(w io.Writer, seed uint64, workers int) error {
 		r := row{rate: rate, degraded: len(res.Degradations)}
 		snap := reg.Snapshot()
 		for _, n := range names {
-			r.attempts += snap.Counters["resilient."+n+".attempts"]
-			r.retries += snap.Counters["resilient."+n+".retries"]
+			sv := service{
+				name:     n,
+				attempts: snap.Counters["resilient."+n+".attempts"],
+				retries:  snap.Counters["resilient."+n+".retries"],
+				backoff:  clock.ServiceElapsed("backoff:" + n),
+			}
+			r.services = append(r.services, sv)
+			r.attempts += sv.attempts
+			r.retries += sv.retries
 			r.failures += snap.Counters["resilient."+n+".failures"]
-			r.backoff += clock.ServiceElapsed("backoff:" + n)
+			r.backoff += sv.backoff
 		}
 		r.callTime = clock.Elapsed() - r.backoff
 		return terms, r, nil
@@ -151,46 +165,13 @@ func faultReport(w io.Writer, seed uint64, workers int) error {
 	fmt.Fprintln(w, "call/backoff time: virtual-clock cost of delivered attempts and retry waits.")
 
 	// A second view: which services paid the most retry traffic at the
-	// highest rate. Rerun at 0.5 and break retries down per service.
-	clock := remote.NewClock()
-	inj := remote.NewInjector(seed, clock)
-	reg := obsv.NewRegistry()
-	rcfg := resilient.Config{
-		MaxAttempts: maxAttempts,
-		BaseBackoff: 50 * time.Millisecond,
-		Seed:        seed,
-		Clock:       clock,
-		Metrics:     reg,
-		Breaker:     resilient.BreakerConfig{Threshold: -1},
-	}
-	var names []string
-	var extractors []core.Extractor
-	for _, e := range sys.CoreExtractors() {
-		names = append(names, e.Name())
-		inj.SetFaults(e.Name(), remote.FaultConfig{ErrorRate: 0.5, Latency: perCall})
-		extractors = append(extractors, resilient.WrapExtractor(inj.WrapExtractor(e), rcfg))
-	}
-	var resources []core.Resource
-	for _, r := range sys.CoreResources() {
-		names = append(names, r.Name())
-		inj.SetFaults(r.Name(), remote.FaultConfig{ErrorRate: 0.5, Latency: perCall})
-		resources = append(resources, resilient.Wrap(inj.WrapResource(r), rcfg))
-	}
-	p, err := core.New(core.Config{Extractors: extractors, Resources: resources, TopK: topK, Workers: workers})
-	if err != nil {
-		return err
-	}
-	if _, err := p.Run(corpus); err != nil {
-		return err
-	}
-	snap := reg.Snapshot()
-	sort.Strings(names)
-	fmt.Fprintf(w, "\nper-service retry traffic at rate 0.50:\n")
+	// highest rate, per service.
+	last := rows[len(rows)-1]
+	sort.Slice(last.services, func(i, j int) bool { return last.services[i].name < last.services[j].name })
+	fmt.Fprintf(w, "\nper-service retry traffic at rate %.2f:\n", last.rate)
 	fmt.Fprintf(w, "%-24s  %9s  %8s  %13s\n", "service", "attempts", "retries", "backoff time")
-	for _, n := range names {
-		fmt.Fprintf(w, "%-24s  %9d  %8d  %13v\n",
-			n, snap.Counters["resilient."+n+".attempts"], snap.Counters["resilient."+n+".retries"],
-			clock.ServiceElapsed("backoff:"+n).Round(time.Millisecond))
+	for _, sv := range last.services {
+		fmt.Fprintf(w, "%-24s  %9d  %8d  %13v\n", sv.name, sv.attempts, sv.retries, sv.backoff.Round(time.Millisecond))
 	}
 	return nil
 }

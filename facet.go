@@ -34,23 +34,19 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/browse"
 	"repro/internal/core"
 	"repro/internal/distctx"
 	"repro/internal/hierarchy"
-	"repro/internal/ner"
 	"repro/internal/newsgen"
 	"repro/internal/obsv"
-	"repro/internal/ontology"
 	"repro/internal/parallel"
 	"repro/internal/remote"
+	"repro/internal/substrate"
 	"repro/internal/textdb"
-	"repro/internal/websearch"
-	"repro/internal/wiki"
-	"repro/internal/wordnet"
-	"repro/internal/yterms"
 )
 
 // Document is one text item to index.
@@ -74,11 +70,7 @@ type EnvConfig struct {
 
 // Environment is the set of external resources the pipeline consults.
 type Environment struct {
-	kb     *ontology.KB
-	wiki   *wiki.Wiki
-	wnet   *wordnet.DB
-	engine *websearch.Engine
-	clock  *remote.Clock
+	world *substrate.World
 }
 
 // NewSimulatedEnvironment synthesizes the full resource stack.
@@ -88,37 +80,24 @@ func NewSimulatedEnvironment(cfg EnvConfig) (*Environment, error) {
 	if cfg.Scale < 0 || math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
 		return nil, fmt.Errorf("facet: invalid Scale %v (want a finite value >= 0; 0 selects the default of 1)", cfg.Scale)
 	}
-	kb, err := ontology.Build(ontology.Config{Seed: cfg.Seed, Scale: cfg.Scale})
-	if err != nil {
-		return nil, err
-	}
-	w, err := wiki.Build(kb, wiki.Config{Seed: cfg.Seed + 1})
-	if err != nil {
-		return nil, err
-	}
-	wn, err := wordnet.FromIsa(ontology.WordNetLexicon(kb))
-	if err != nil {
-		return nil, err
-	}
-	env := &Environment{
-		kb:     kb,
-		wiki:   w,
-		wnet:   wn,
-		engine: websearch.NewEngineFromWiki(w),
-	}
+	var clock *remote.Clock
 	if cfg.ChargeLatency {
-		env.clock = remote.NewClock()
+		clock = remote.NewClock()
 	}
-	return env, nil
+	world, err := substrate.NewWorld(cfg.Seed, cfg.Scale, clock)
+	if err != nil {
+		return nil, err
+	}
+	return &Environment{world: world}, nil
 }
 
 // VirtualNetworkTime returns the accumulated simulated network latency
 // (zero unless ChargeLatency was set).
 func (e *Environment) VirtualNetworkTime() time.Duration {
-	if e.clock == nil {
+	if e.world.Clock == nil {
 		return 0
 	}
-	return e.clock.Elapsed()
+	return e.world.Clock.Elapsed()
 }
 
 // GenerateNewsCorpus produces a synthetic news dataset grounded in the
@@ -139,7 +118,7 @@ func (e *Environment) GenerateNewsCorpus(profile string, numDocs int, seed uint6
 	if numDocs > 0 {
 		p = p.WithDocs(numDocs)
 	}
-	ds, err := newsgen.Generate(e.kb, p, seed)
+	ds, err := newsgen.Generate(e.world.KB, p, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -218,17 +197,12 @@ func NewSystem(env *Environment, opts Options) (*System, error) {
 		return nil, fmt.Errorf("facet: negative Workers")
 	}
 	for _, e := range opts.Extractors {
-		switch e {
-		case "NE", "Yahoo", "Wikipedia":
-		default:
+		if !slices.Contains(substrate.ExtractorNames, e) {
 			return nil, fmt.Errorf("facet: unknown extractor %q", e)
 		}
 	}
 	for _, r := range opts.Resources {
-		switch r {
-		case "Google", "WordNet Hypernyms", "Wikipedia Synonyms", "Wikipedia Graph",
-			"Distributional", "corpus":
-		default:
+		if !slices.Contains(substrate.ResourceNames, r) && !isDistributional(r) {
 			return nil, fmt.Errorf("facet: unknown resource %q", r)
 		}
 	}
@@ -247,57 +221,42 @@ func (s *System) Add(d Document) int {
 // Len returns the number of indexed documents.
 func (s *System) Len() int { return s.corpus.Len() }
 
-// buildExtractors assembles the selected extractors (defaults to all).
-func (s *System) buildExtractors() []core.Extractor {
+// isDistributional reports whether a resource name selects the
+// corpus-only distributional model.
+func isDistributional(name string) bool { return name == "Distributional" || name == "corpus" }
+
+// CoreExtractors assembles the configured term extractors (default: all
+// three) over the currently indexed documents (the Yahoo-style extractor
+// calibrates its background statistics against them). Like BrowseEngine,
+// this is a seam for in-module consumers — the live ingestion subsystem
+// builds its worker pool from it; external users configure extraction
+// through Options.
+func (s *System) CoreExtractors() []core.Extractor {
 	names := s.opts.Extractors
 	if len(names) == 0 {
-		names = []string{"NE", "Yahoo", "Wikipedia"}
+		names = substrate.ExtractorNames
 	}
-	var gaz []string
-	for _, e := range s.env.kb.Entities() {
-		gaz = append(gaz, e.Display)
-		gaz = append(gaz, e.Variants...)
-	}
-	bg := textdb.NewDFTable(s.corpus.Dict())
-	for i := 0; i < s.corpus.Len(); i++ {
-		bg.AddDoc(s.corpus.DocTerms(textdb.DocID(i)))
-	}
-	var out []core.Extractor
-	for _, n := range names {
-		switch n {
-		case "NE":
-			out = append(out, ner.New(ner.WithGazetteer(gaz)))
-		case "Yahoo":
-			out = append(out, yterms.New(bg, 12, s.env.clock))
-		case "Wikipedia":
-			out = append(out, wiki.NewTitleExtractor(s.env.wiki))
-		}
-	}
+	out := s.env.world.NewExtractors(s.corpus, names...)
 	for _, e := range s.opts.ExtraExtractors {
 		out = append(out, e)
 	}
 	return out
 }
 
-// buildResources assembles the selected resources (defaults to all).
-func (s *System) buildResources() []core.Resource {
+// CoreResources assembles the configured context-expansion resources
+// (default: the four external ones); see CoreExtractors for the intended
+// consumers.
+func (s *System) CoreResources() []core.Resource {
 	names := s.opts.Resources
 	if len(names) == 0 {
-		names = []string{"Google", "WordNet Hypernyms", "Wikipedia Synonyms", "Wikipedia Graph"}
+		names = substrate.ResourceNames
 	}
 	var out []core.Resource
 	for _, n := range names {
-		switch n {
-		case "Google":
-			out = append(out, websearch.NewResource(s.env.engine, 10, 10, s.env.clock))
-		case "WordNet Hypernyms":
-			out = append(out, wordnet.NewResource(s.env.wnet, 2))
-		case "Wikipedia Synonyms":
-			out = append(out, wiki.NewSynonymResource(s.env.wiki))
-		case "Wikipedia Graph":
-			out = append(out, wiki.NewGraphResource(s.env.wiki, 50))
-		case "Distributional", "corpus":
+		if isDistributional(n) {
 			out = append(out, s.buildDistributional())
+		} else {
+			out = append(out, s.env.world.NewResources(n)...)
 		}
 	}
 	for _, r := range s.opts.ExtraResources {
@@ -308,24 +267,18 @@ func (s *System) buildResources() []core.Resource {
 
 // buildDistributional builds the corpus-only context resource over the
 // currently indexed documents: Step 1 runs once with the configured
-// extractors to collect per-document important terms, and distctx.Build
-// turns their co-occurrence structure into top-N neighbor vectors. The
-// extraction cost is paid again when the pipeline proper runs — the
-// model has to exist before Step 2 starts, and Step 1 is the cheap stage
-// (see StageReport). An empty corpus yields an inert model that answers
-// nil for every term.
+// extractors to collect per-document important terms, and
+// substrate.Distributional turns their co-occurrence structure into top-N
+// neighbor vectors. The extraction cost is paid again when the pipeline
+// proper runs — the model has to exist before Step 2 starts, and Step 1
+// is the cheap stage (see StageReport). An empty corpus yields an inert
+// model that answers nil for every term.
 func (s *System) buildDistributional() core.Resource {
-	important, _, err := core.IdentifyImportantReport(context.Background(), s.corpus, s.buildExtractors(), 0, s.opts.Workers)
+	important, _, err := core.IdentifyImportantReport(context.Background(), s.corpus, s.CoreExtractors(), 0, s.opts.Workers)
 	if err != nil {
 		important = nil
 	}
-	// Log-likelihood weighting, not PPMI: the resource ablation
-	// (experiments -run resourceablation) shows LLR's preference for
-	// evidence mass pulls the high-frequency general terms into the
-	// neighbor lists, which is what the subsumption builder needs to
-	// recover ancestor structure; PPMI's lift favors rare correlates and
-	// leaves the hierarchy flat.
-	m, err := distctx.Build(context.Background(), important, distctx.Config{Weight: distctx.WeightLLR, Workers: s.opts.Workers})
+	m, err := substrate.Distributional(context.Background(), important, s.opts.Workers)
 	if err != nil {
 		// Unreachable with a background context and the default knobs;
 		// degrade to an empty model rather than poison the resource list.
@@ -333,18 +286,6 @@ func (s *System) buildDistributional() core.Resource {
 	}
 	return m
 }
-
-// CoreExtractors assembles the configured term extractors over the
-// currently indexed documents (the Yahoo-style extractor calibrates its
-// background statistics against them). Like BrowseEngine, this is a seam
-// for in-module consumers — the live ingestion subsystem builds its
-// worker pool from it; external users configure extraction through
-// Options.
-func (s *System) CoreExtractors() []core.Extractor { return s.buildExtractors() }
-
-// CoreResources assembles the configured context-expansion resources; see
-// CoreExtractors for the intended consumers.
-func (s *System) CoreResources() []core.Resource { return s.buildResources() }
 
 // CoreFallback assembles the corpus-only fallback resource when
 // Options.CorpusFallback is set, and returns nil otherwise; the live
@@ -362,7 +303,7 @@ func (s *System) CoreFallback() core.Resource {
 // ingestion subsystem passes it through ingest.Config.Taxonomy so live
 // epochs build the same hierarchy as BuildHierarchy.
 func (s *System) CoreTaxonomy() hierarchy.Taxonomy {
-	return hierarchy.NewTaxonomy(s.env.wnet, s.env.wiki)
+	return hierarchy.NewTaxonomy(s.env.world.WordNet, s.env.world.Wiki)
 }
 
 // FacetTerm is one extracted facet term with its statistical evidence.
@@ -428,17 +369,14 @@ func (s *System) ExtractFacetsContext(ctx context.Context) (*Result, error) {
 	if s.corpus.Len() == 0 {
 		return nil, fmt.Errorf("facet: no documents added")
 	}
-	cfg := core.Config{
-		Extractors: s.buildExtractors(),
-		Resources:  s.buildResources(),
+	p, err := core.New(core.Config{
+		Extractors: s.CoreExtractors(),
+		Resources:  s.CoreResources(),
+		Fallback:   s.CoreFallback(),
 		TopK:       s.opts.TopK,
 		Workers:    s.opts.Workers,
 		Metrics:    s.metrics,
-	}
-	if s.opts.CorpusFallback {
-		cfg.Fallback = s.buildDistributional()
-	}
-	p, err := core.New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -76,12 +76,24 @@ func (r infallibleResource) ContextErr(ctx context.Context, term string) ([]stri
 }
 
 // AsResourceErr upgrades a Resource to its fallible interface when it
-// implements one, and wraps it as never-failing otherwise.
+// implements one, and wraps it as never-failing otherwise; nil stays nil.
 func AsResourceErr(r Resource) ResourceErr {
+	if r == nil {
+		return nil
+	}
 	if re, ok := r.(ResourceErr); ok {
 		return re
 	}
 	return infallibleResource{r}
+}
+
+// AsResourceErrs upgrades every resource with AsResourceErr.
+func AsResourceErrs(rs []Resource) []ResourceErr {
+	out := make([]ResourceErr, len(rs))
+	for i, r := range rs {
+		out[i] = AsResourceErr(r)
+	}
+	return out
 }
 
 // infallibleExtractor adapts a plain Extractor to ExtractorErr.
@@ -94,13 +106,18 @@ func (e infallibleExtractor) ExtractErr(ctx context.Context, text string) ([]str
 	return e.Extract(text), nil
 }
 
-// AsExtractorErr upgrades an Extractor to its fallible interface when it
-// implements one, and wraps it as never-failing otherwise.
-func AsExtractorErr(e Extractor) ExtractorErr {
-	if ee, ok := e.(ExtractorErr); ok {
-		return ee
+// AsExtractorErrs upgrades each Extractor to its fallible interface when
+// it implements one, and wraps it as never-failing otherwise.
+func AsExtractorErrs(es []Extractor) []ExtractorErr {
+	out := make([]ExtractorErr, len(es))
+	for i, e := range es {
+		if ee, ok := e.(ExtractorErr); ok {
+			out[i] = ee
+		} else {
+			out[i] = infallibleExtractor{e}
+		}
 	}
-	return infallibleExtractor{e}
+	return out
 }
 
 // Config assembles a pipeline.
@@ -110,9 +127,6 @@ type Config struct {
 	// TopK bounds the number of facet terms returned; 0 means the paper's
 	// working value of 200.
 	TopK int
-	// MaxImportantPerDoc caps important terms per document (0 = no cap);
-	// extractors already bound their own output, so this is a safety net.
-	MaxImportantPerDoc int
 	// Fallback, when set, is a last-resort context resource consulted for
 	// an important term only when EVERY configured resource failed for
 	// that (document, term) lookup — retries exhausted or circuit open.
@@ -242,12 +256,16 @@ type degAccum struct {
 	lastErr  string
 }
 
-// recordDeg tallies one failed lookup into a worker-local map.
-func recordDeg(m map[string]*degAccum, name string, newDoc bool, err error) {
-	a := m[name]
+// recordDeg tallies one failed lookup into a worker-local map, which it
+// allocates on the worker's first failure.
+func recordDeg(m *map[string]*degAccum, name string, newDoc bool, err error) {
+	if *m == nil {
+		*m = map[string]*degAccum{}
+	}
+	a := (*m)[name]
 	if a == nil {
 		a = &degAccum{}
-		m[name] = a
+		(*m)[name] = a
 	}
 	a.failures++
 	if newDoc {
@@ -283,11 +301,6 @@ func mergeDegradations(kind string, perWorker []map[string]*degAccum) []Degradat
 	return out
 }
 
-// Run executes the three steps over the corpus.
-func (p *Pipeline) Run(corpus *textdb.Corpus) (*Result, error) {
-	return p.RunContext(context.Background(), corpus)
-}
-
 // RunContext executes the three steps over the corpus, honoring
 // cancellation: ctx is checked between stages and between documents
 // inside the two expensive stages, so a canceled extraction stops within
@@ -305,7 +318,7 @@ func (p *Pipeline) RunContext(ctx context.Context, corpus *textdb.Corpus) (*Resu
 	}
 
 	start := time.Now()
-	important, extractorDegs, err := IdentifyImportantReport(ctx, corpus, p.cfg.Extractors, p.cfg.MaxImportantPerDoc, p.cfg.Workers)
+	important, extractorDegs, err := IdentifyImportantReport(ctx, corpus, p.cfg.Extractors, 0, p.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -342,50 +355,76 @@ func (p *Pipeline) RunContext(ctx context.Context, corpus *textdb.Corpus) (*Resu
 	return res, nil
 }
 
-// IdentifyImportantReport is Step 1 (Figure 1): per document, the union
-// of all extractors' terms, first-extractor-first order preserved.
-// maxPerDoc <= 0 means no cap. Documents shard across a bounded worker
-// pool (workers <= 0 selects GOMAXPROCS, 1 runs sequentially on the
-// calling goroutine); each worker writes only its own documents' slots,
-// so output is identical for every worker count. Every worker checks ctx
-// before each document and the first ctx error aborts the run.
+// UnionTerms is the union of Step 1 (Figure 1): the terms of every list,
+// in list order with each term at its first occurrence, empty strings
+// and duplicates dropped.
+func UnionTerms(lists ...[]string) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, l := range lists {
+		for _, t := range l {
+			if t == "" || seen[t] {
+				continue
+			}
+			seen[t] = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// ExtractorFailure is one extractor's failure on one document.
+type ExtractorFailure struct {
+	Extractor string // the failing extractor's Name()
+	Err       error
+}
+
+// ImportantTerms is Step 1 (Figure 1) for one document: the UnionTerms of
+// the extractors' terms for the document's title and text, in extractor
+// order. An extractor that fails is left out of the union and reported in
+// failures; the caller decides whether the document goes on without it.
+// err is non-nil only when ctx is done.
+func ImportantTerms(ctx context.Context, doc *textdb.Document, extractors []ExtractorErr) (terms []string, failures []ExtractorFailure, err error) {
+	text := doc.Title + ". " + doc.Text
+	lists := make([][]string, 0, len(extractors))
+	for _, ex := range extractors {
+		extracted, eerr := ex.ExtractErr(ctx, text)
+		if eerr != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, nil, cerr // cancellation, not a dependency failure
+			}
+			failures = append(failures, ExtractorFailure{Extractor: ex.Name(), Err: eerr})
+			continue
+		}
+		lists = append(lists, extracted)
+	}
+	return UnionTerms(lists...), failures, nil
+}
+
+// IdentifyImportantReport is Step 1 (Figure 1) over a corpus: each
+// document's ImportantTerms, capped at maxPerDoc terms (<= 0 means no
+// cap). Documents shard across a bounded worker pool (workers <= 0
+// selects GOMAXPROCS, 1 runs sequentially on the calling goroutine); each
+// worker writes only its own documents' slots, so output is identical for
+// every worker count. Every worker checks ctx before each document and
+// the first ctx error aborts the run.
 //
 // Extraction degrades gracefully: an extractor that fails for a document
 // (extractors implementing ExtractorErr can) is skipped for that
 // document, the run proceeds with the surviving extractors, and the gap
 // is quantified in the returned Degradations.
 func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extractors []Extractor, maxPerDoc, workers int) ([][]string, []Degradation, error) {
-	fallible := make([]ExtractorErr, len(extractors))
-	for i, ex := range extractors {
-		fallible[i] = AsExtractorErr(ex)
-	}
+	fallible := AsExtractorErrs(extractors)
 	nw := parallel.Workers(workers)
 	degs := make([]map[string]*degAccum, nw)
-	for w := range degs {
-		degs[w] = map[string]*degAccum{}
-	}
 	out := make([][]string, corpus.Len())
 	err := parallel.For(ctx, corpus.Len(), nw, func(w, i int) {
-		doc := corpus.Doc(textdb.DocID(i))
-		text := doc.Title + ". " + doc.Text
-		seen := map[string]bool{}
-		var terms []string
-		for _, ex := range fallible {
-			extracted, eerr := ex.ExtractErr(ctx, text)
-			if eerr != nil {
-				if ctx.Err() != nil {
-					return // cancellation, not a dependency failure
-				}
-				recordDeg(degs[w], ex.Name(), true, eerr)
-				continue
-			}
-			for _, t := range extracted {
-				if t == "" || seen[t] {
-					continue
-				}
-				seen[t] = true
-				terms = append(terms, t)
-			}
+		terms, failures, err := ImportantTerms(ctx, corpus.Doc(textdb.DocID(i)), fallible)
+		if err != nil {
+			return // cancellation: parallel.For reports ctx's error
+		}
+		for _, f := range failures {
+			recordDeg(&degs[w], f.Extractor, true, f.Err)
 		}
 		if maxPerDoc > 0 && len(terms) > maxPerDoc {
 			terms = terms[:maxPerDoc]
@@ -396,6 +435,89 @@ func IdentifyImportantReport(ctx context.Context, corpus *textdb.Corpus, extract
 		return nil, nil, err
 	}
 	return out, mergeDegradations("extractor", degs), nil
+}
+
+// ContextLookup is the cached context lookup Step 2 expands through. The
+// batch pipeline passes its unbounded single-flight ResourceCache; live
+// ingestion passes its bounded LRU.
+type ContextLookup interface {
+	LookupErr(ctx context.Context, r ResourceErr, term string) ([]string, error)
+}
+
+// LookupFailure is one failed context lookup for one important term.
+type LookupFailure struct {
+	Resource string // the failing resource's Name(), or the fallback's
+	Term     string // the important term looked up
+	// Fallback marks the fallback's own failure: every resource had
+	// failed for Term, and so did the fallback.
+	Fallback bool
+	// Rescued marks a resource failure the fallback made good: every
+	// resource failed for Term and the fallback answered in their place.
+	Rescued bool
+	Err     error
+}
+
+// DocExpansion is Step 2's output for one document.
+type DocExpansion struct {
+	// Context lists the context terms added to the document.
+	Context []string
+	// Corroborated lists, ascending, the positions in Context of the
+	// document's corroborated context terms (see ContextRow.Finish).
+	Corroborated []int32
+	// Failures lists every failed lookup, term by term in important-term
+	// order, each term's resource failures before its fallback's.
+	Failures []LookupFailure
+	// Rescues counts the important terms the fallback answered for.
+	Rescues int
+}
+
+// ExpandDoc is Step 2 (Figure 2) for one document: for each important
+// term, every resource's context terms through cache, merged into row
+// (which comes back reset, ready for the next document). A failed lookup
+// contributes nothing and is reported in Failures. When every resource
+// failed for a term and fallback is non-nil, the fallback is consulted
+// for that term through the same cache: its terms merge and vote like any
+// resource's, and the rescue is counted. When no lookup fails the output
+// does not depend on fallback. Failed lookups are never cached, so a
+// recovering resource starts answering again immediately. err is non-nil
+// only when ctx is done.
+func ExpandDoc(ctx context.Context, row *ContextRow, important []string, resources []ResourceErr, fallback ResourceErr, cache ContextLookup) (DocExpansion, error) {
+	var out DocExpansion
+	for k, t := range important {
+		failed := 0
+		for _, r := range resources {
+			terms, err := cache.LookupErr(ctx, r, t)
+			if err != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					row.Finish(0)
+					return DocExpansion{}, cerr // cancellation, not a dependency failure
+				}
+				out.Failures = append(out.Failures, LookupFailure{Resource: r.Name(), Term: t, Err: err})
+				failed++
+				continue
+			}
+			row.Add(k, terms)
+		}
+		if fallback == nil || len(resources) == 0 || failed < len(resources) {
+			continue
+		}
+		terms, err := cache.LookupErr(ctx, fallback, t)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				row.Finish(0)
+				return DocExpansion{}, cerr
+			}
+			out.Failures = append(out.Failures, LookupFailure{Resource: fallback.Name(), Term: t, Fallback: true, Err: err})
+			continue
+		}
+		for j := len(out.Failures) - failed; j < len(out.Failures); j++ {
+			out.Failures[j].Rescued = true
+		}
+		out.Rescues++
+		row.Add(k, terms)
+	}
+	out.Context, out.Corroborated = row.Finish(len(important))
+	return out, nil
 }
 
 // Expansion is Step 2's output over a corpus.
@@ -412,48 +534,26 @@ type Expansion struct {
 	FallbackLookups int
 }
 
-// Expand is Step 2 (Figure 2): per document, the union of all
-// resources' context terms for each important term, deduplicated, and
-// the assignment votes those terms received (ContextRow). Documents
-// shard across a bounded worker pool (workers <= 0 selects GOMAXPROCS, 1
-// runs sequentially); per-document rows depend only on that document's
-// important terms, so output is identical for every worker count.
-// Cancellation is checked between documents. A nil cache allocates a
-// private one; a shared cache is single-flight per (resource, term), so
+// Expand is Step 2 (Figure 2) over a corpus: each document's ExpandDoc.
+// Documents shard across a bounded worker pool (workers <= 0 selects
+// GOMAXPROCS, 1 runs sequentially); per-document rows depend only on that
+// document's important terms, so output is identical for every worker
+// count. Cancellation is checked between documents. A nil cache allocates
+// a private one; a shared cache is single-flight per (resource, term), so
 // a hot term missed by several workers at once is derived exactly once.
 //
-// Expansion degrades gracefully: a resource whose lookup fails
-// permanently (resources implementing ResourceErr can — the resilience
-// layer surfaces exhausted retries and open circuits here) contributes
-// nothing for that (document, term) pair, the expansion proceeds with the
-// surviving resources, and the gap is quantified in Degradations. Failed
-// lookups are never cached, so a recovering resource starts answering
-// again immediately.
-//
-// When fallback is non-nil and EVERY primary resource failed for a
-// (document, term) pair, the fallback is consulted for that term
-// (through the same cache); its terms merge and vote like any resource's,
-// and the rescues are counted. When no resource fails the output does
-// not depend on fallback, so configuring one never perturbs healthy
-// runs. A failing fallback is recorded in Degradations like any
-// resource; the pair then completes context-free.
+// Expansion degrades gracefully: it proceeds with the surviving
+// resources, and every failed lookup ExpandDoc reports (resources
+// implementing ResourceErr can fail — the resilience layer surfaces
+// exhausted retries and open circuits here), rescued or not and the
+// fallback's own included, is quantified in Degradations.
 func Expand(ctx context.Context, important [][]string, resources []Resource, fallback Resource, cache *ResourceCache, workers int) (*Expansion, error) {
 	if cache == nil {
 		cache = NewResourceCache()
 	}
-	fallible := make([]ResourceErr, len(resources))
-	for i, r := range resources {
-		fallible[i] = AsResourceErr(r)
-	}
-	var fallbackErr ResourceErr
-	if fallback != nil {
-		fallbackErr = AsResourceErr(fallback)
-	}
+	fallible, fallbackErr := AsResourceErrs(resources), AsResourceErr(fallback)
 	nw := parallel.Workers(workers)
 	degs := make([]map[string]*degAccum, nw)
-	for w := range degs {
-		degs[w] = map[string]*degAccum{}
-	}
 	rescues := make([]int, nw)
 	rows := make([]ContextRow, nw)
 	out := &Expansion{
@@ -461,43 +561,16 @@ func Expand(ctx context.Context, important [][]string, resources []Resource, fal
 		Corroborated: make([][]int32, len(important)),
 	}
 	err := parallel.For(ctx, len(important), nw, func(w, i int) {
-		row := &rows[w]
-		var failedDoc map[string]bool // resources that already failed for this document
-		fail := func(name string, lerr error) {
-			if failedDoc == nil {
-				failedDoc = map[string]bool{}
-			}
-			recordDeg(degs[w], name, !failedDoc[name], lerr)
-			failedDoc[name] = true
+		e, err := ExpandDoc(ctx, &rows[w], important[i], fallible, fallbackErr, cache)
+		if err != nil {
+			return // cancellation: parallel.For reports ctx's error
 		}
-		for k, t := range important[i] {
-			failed := 0
-			for _, r := range fallible {
-				terms, lerr := cache.LookupErr(ctx, r, t)
-				if lerr != nil {
-					if ctx.Err() != nil {
-						return // cancellation, not a dependency failure
-					}
-					fail(r.Name(), lerr)
-					failed++
-					continue
-				}
-				row.Add(k, terms)
-			}
-			if fallbackErr != nil && len(fallible) > 0 && failed == len(fallible) {
-				terms, lerr := cache.LookupErr(ctx, fallbackErr, t)
-				if lerr != nil {
-					if ctx.Err() != nil {
-						return
-					}
-					fail(fallbackErr.Name(), lerr)
-					continue
-				}
-				rescues[w]++
-				row.Add(k, terms)
-			}
+		for j, f := range e.Failures {
+			newDoc := !slices.ContainsFunc(e.Failures[:j], func(g LookupFailure) bool { return g.Resource == f.Resource })
+			recordDeg(&degs[w], f.Resource, newDoc, f.Err)
 		}
-		out.Context[i], out.Corroborated[i] = row.Finish(len(important[i]))
+		rescues[w] += e.Rescues
+		out.Context[i], out.Corroborated[i] = e.Context, e.Corroborated
 	})
 	if err != nil {
 		return nil, err
@@ -523,9 +596,9 @@ func DeriveContextFallbackReport(ctx context.Context, important [][]string, reso
 // ContextRow accumulates one document's Step-2 expansion: the union of
 // every resource's context terms, deduplicated in first-seen order, and
 // for each term the number of distinct important terms that voted for it.
-// The batch pipeline (Expand) and live ingestion both expand documents
-// through it, so they agree on C(D) and on the document-to-facet
-// assignment. The zero value is ready to use; Finish resets it.
+// ExpandDoc fills it for batch runs and live ingestion alike, so they
+// agree on C(D) and on the document-to-facet assignment. The zero value
+// is ready to use; Finish resets it.
 type ContextRow struct {
 	terms []string
 	pos   map[string]int32 // context term -> index in terms
@@ -649,25 +722,18 @@ type AnalyzeOptions struct {
 	Workers int
 }
 
-// ExpandDocTerms builds one document's contextualized term row (the
-// Fig. 2 → Fig. 3 hand-off): the document's own term IDs followed by its
-// context terms, interned and deduplicated. IDs of terms that gained
-// their first occurrence through context — the only terms able to pass
-// Shift_f > 0 — are recorded in ctxSet (when non-nil). scratch is an
-// optional reusable dedup map, cleared on entry; nil allocates one. Both
-// the batch analysis and the live-ingestion delta path build their
-// contextualized DF tables through this one helper, so the two always
-// agree on what C(D) contains.
-func ExpandDocTerms(dict *textdb.Dictionary, orig []textdb.TermID, context []string, scratch map[textdb.TermID]bool, ctxSet map[textdb.TermID]bool) []textdb.TermID {
-	return ExpandDocTermsAppend(make([]textdb.TermID, 0, len(orig)+len(context)), dict, orig, context, scratch, ctxSet)
-}
-
-// ExpandDocTermsAppend is ExpandDocTerms writing into dst (appended to
-// and returned like append). Callers expanding many documents pass the
-// previous row's buffer as dst[:0] so the per-document row costs zero
-// allocations once the buffer and scratch map reach steady-state size —
-// this is the hot path of both the batch analysis (AnalyzeWith) and live
-// ingestion.
+// ExpandDocTermsAppend builds one document's contextualized term row (the
+// Fig. 2 → Fig. 3 hand-off) into dst, appended to and returned like
+// append: the document's own term IDs followed by its context terms,
+// interned and deduplicated. IDs of terms that gained their first
+// occurrence through context — the only terms able to pass Shift_f > 0 —
+// are recorded in ctxSet (when non-nil). scratch is an optional reusable
+// dedup map, cleared on entry; nil allocates one. Both the batch analysis
+// (AnalyzeWith) and live ingestion build their contextualized DF tables
+// through this one helper, so the two always agree on what C(D) contains.
+// Callers expanding many documents pass the previous row's buffer as
+// dst[:0] so the per-document row costs zero allocations once the buffer
+// and scratch map reach steady-state size.
 func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []textdb.TermID, context []string, scratch map[textdb.TermID]bool, ctxSet map[textdb.TermID]bool) []textdb.TermID {
 	if scratch == nil {
 		scratch = make(map[textdb.TermID]bool, len(orig)+len(context))
@@ -691,14 +757,9 @@ func ExpandDocTermsAppend(dst []textdb.TermID, dict *textdb.Dictionary, orig []t
 	return dst
 }
 
-// Analyze is Step 3 (Figure 3): comparative term-frequency analysis over
-// the original corpus and its per-document context expansions, with the
-// paper's default options.
-func Analyze(corpus *textdb.Corpus, context [][]string, topK int) *Result {
-	return AnalyzeWith(corpus, context, topK, AnalyzeOptions{})
-}
-
-// AnalyzeWith is Analyze with explicit options. With opts.Workers > 1
+// AnalyzeWith is Step 3 (Figure 3): comparative term-frequency analysis
+// over the original corpus and its per-document context expansions, with
+// the variants opts selects. With opts.Workers > 1
 // the DF tables for D and C(D) are accumulated as per-worker delta
 // tables over document shards and merged before scoring; document
 // frequencies are additive across disjoint shards, so the merged tables

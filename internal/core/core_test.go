@@ -73,7 +73,7 @@ func TestRunEmptyCorpus(t *testing.T) {
 		Extractors: []Extractor{fakeExtractor{name: "x"}},
 		Resources:  []Resource{&fakeResource{name: "r"}},
 	})
-	if _, err := p.Run(textdb.NewCorpus()); err == nil {
+	if _, err := p.RunContext(context.Background(), textdb.NewCorpus()); err == nil {
 		t.Fatal("expected error for empty corpus")
 	}
 }
@@ -99,7 +99,7 @@ func TestFacetTermEmerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result, err := p.Run(corpus)
+	result, err := p.RunContext(context.Background(), corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestTermsAlreadyFrequentDoNotQualify(t *testing.T) {
 		"chirac": {"politics"}, // already in every doc
 	}}
 	p, _ := New(Config{Extractors: []Extractor{ex}, Resources: []Resource{res}})
-	result, _ := p.Run(corpus)
+	result, _ := p.RunContext(context.Background(), corpus)
 	for _, f := range result.Candidates {
 		if f.Term == "politics" {
 			t.Fatalf("saturated term became a candidate: %+v", f)
@@ -157,7 +157,7 @@ func TestImportantTermsUnionAcrossExtractors(t *testing.T) {
 	e2 := fakeExtractor{name: "b", terms: []string{"beta", "gamma"}}
 	res := &fakeResource{name: "r", ctx: map[string][]string{}}
 	p, _ := New(Config{Extractors: []Extractor{e1, e2}, Resources: []Resource{res}})
-	result, err := p.Run(corpus)
+	result, err := p.RunContext(context.Background(), corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,12 @@ func TestImportantTermsUnionAcrossExtractors(t *testing.T) {
 func TestMaxImportantPerDoc(t *testing.T) {
 	corpus := miniCorpus("alpha beta gamma")
 	e := fakeExtractor{name: "a", terms: []string{"alpha", "beta", "gamma"}}
-	res := &fakeResource{name: "r", ctx: map[string][]string{}}
-	p, _ := New(Config{Extractors: []Extractor{e}, Resources: []Resource{res}, MaxImportantPerDoc: 2})
-	result, _ := p.Run(corpus)
-	if len(result.Important[0]) != 2 {
-		t.Fatalf("cap not applied: %v", result.Important[0])
+	important, _, err := IdentifyImportantReport(context.Background(), corpus, []Extractor{e}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(important[0]) != 2 {
+		t.Fatalf("cap not applied: %v", important[0])
 	}
 }
 
@@ -183,7 +184,7 @@ func TestResourceCacheAvoidsRepeatQueries(t *testing.T) {
 	e := fakeExtractor{name: "a", terms: []string{"chirac"}}
 	res := &fakeResource{name: "r", ctx: map[string][]string{"chirac": {"france"}}, calls: map[string]int{}}
 	p, _ := New(Config{Extractors: []Extractor{e}, Resources: []Resource{res}})
-	if _, err := p.Run(corpus); err != nil {
+	if _, err := p.RunContext(context.Background(), corpus); err != nil {
 		t.Fatal(err)
 	}
 	if res.calls["chirac"] != 1 {
@@ -204,7 +205,7 @@ func TestTopKBoundsOutput(t *testing.T) {
 	}
 	e := fakeExtractor{name: "a", terms: terms}
 	p, _ := New(Config{Extractors: []Extractor{e}, Resources: []Resource{&fakeResource{name: "r", ctx: ctx}}, TopK: 3})
-	result, _ := p.Run(corpus)
+	result, _ := p.RunContext(context.Background(), corpus)
 	if len(result.Facets) > 3 {
 		t.Fatalf("TopK violated: %d facets", len(result.Facets))
 	}
@@ -229,7 +230,7 @@ func TestScoresSortedDescending(t *testing.T) {
 		"jones": {"writers"}, // rarer expansion
 	}
 	p, _ := New(Config{Extractors: []Extractor{e}, Resources: []Resource{&fakeResource{name: "r", ctx: ctx}}})
-	result, _ := p.Run(corpus)
+	result, _ := p.RunContext(context.Background(), corpus)
 	if len(result.Candidates) < 2 {
 		t.Fatalf("candidates: %+v", result.Candidates)
 	}
@@ -352,7 +353,7 @@ func TestPipelineDeterministic(t *testing.T) {
 			Extractors: []Extractor{fakeExtractor{name: "a", terms: terms}},
 			Resources:  []Resource{&fakeResource{name: "r", ctx: ctx}},
 		})
-		res, err := p.Run(corpus)
+		res, err := p.RunContext(context.Background(), corpus)
 		if err != nil {
 			t.Fatal(err)
 		}

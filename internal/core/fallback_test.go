@@ -128,7 +128,7 @@ func TestRunContextFallbackLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(corpus)
+	res, err := p.RunContext(context.Background(), corpus)
 	if err != nil {
 		t.Fatal(err)
 	}

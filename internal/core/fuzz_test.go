@@ -37,7 +37,7 @@ func buildFuzzTables(data []byte) (dict *textdb.Dictionary, dfD, dfC *textdb.DFT
 			}
 		}
 		dfD.AddDoc(orig)
-		dfC.AddDoc(ExpandDocTerms(dict, orig, ctx, scratch, ctxSet))
+		dfC.AddDoc(ExpandDocTermsAppend(nil, dict, orig, ctx, scratch, ctxSet))
 		numDocs++
 	}
 	return dict, dfD, dfC, ctxSet, numDocs

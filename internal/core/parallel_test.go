@@ -210,7 +210,7 @@ func TestPipelineWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(corpus)
+		res, err := p.RunContext(context.Background(), corpus)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestExpandDocTerms(t *testing.T) {
 	dict := textdb.NewDictionary()
 	a, b := dict.Intern("a"), dict.Intern("b")
 	ctxSet := map[textdb.TermID]bool{}
-	merged := ExpandDocTerms(dict, []textdb.TermID{a, b}, []string{"b", "c", "c", "a", "d"}, nil, ctxSet)
+	merged := ExpandDocTermsAppend(nil, dict, []textdb.TermID{a, b}, []string{"b", "c", "c", "a", "d"}, nil, ctxSet)
 	c, d := dict.Lookup("c"), dict.Lookup("d")
 	want := []textdb.TermID{a, b, c, d}
 	if !reflect.DeepEqual(merged, want) {
@@ -259,7 +259,7 @@ func TestExpandDocTerms(t *testing.T) {
 	}
 	// Reused scratch must be cleared between documents.
 	scratch := map[textdb.TermID]bool{a: true}
-	merged = ExpandDocTerms(dict, nil, []string{"a"}, scratch, nil)
+	merged = ExpandDocTermsAppend(nil, dict, nil, []string{"a"}, scratch, nil)
 	if !reflect.DeepEqual(merged, []textdb.TermID{a}) {
 		t.Fatalf("stale scratch leaked: %v", merged)
 	}

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/distctx"
 	"repro/internal/stats"
+	"repro/internal/substrate"
 )
 
 // AblationResult compares design choices of Step 3 (Section IV-C): the
@@ -37,7 +37,7 @@ func Ablation(dr *DataRun, topK int) (*AblationResult, error) {
 		topK = 100
 	}
 	important := dr.Important(ExtAll)
-	exp, err := core.Expand(context.Background(), important, dr.Lab.Resources(ResourceOrder...), nil, labCache(dr), 0)
+	exp, err := core.Expand(context.Background(), important, dr.Lab.NewResources(ResourceOrder...), nil, dr.Lab.cache, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -69,9 +69,6 @@ func Ablation(dr *DataRun, topK int) (*AblationResult, error) {
 	}
 	return res, nil
 }
-
-// labCache exposes the lab's shared resource cache to the ablations.
-func labCache(dr *DataRun) *core.ResourceCache { return dr.Lab.cache }
 
 // ResourceAblationRow is one resource subset's scored outcome: the Step-3
 // candidate yield, the top-K term quality (usefulness and ground-truth
@@ -122,16 +119,12 @@ func ResourceAblation(ctx context.Context, dr *DataRun, topK, workers int) (*Res
 	}
 	important := dr.Important(ExtAll)
 	gt := dr.Pool.BuildGroundTruth(dr.DS, dr.SampleIndices(1000))
-	// LLR weighting, matching the facade's corpus-only resource: its
-	// evidence-mass preference recovers ancestor structure that PPMI's
-	// rare-correlate lift does not (this report is where that was
-	// established).
-	model, err := distctx.Build(ctx, important, distctx.Config{Weight: distctx.WeightLLR, Workers: workers})
+	model, err := substrate.Distributional(ctx, important, workers)
 	if err != nil {
 		return nil, err
 	}
 
-	external := dr.Lab.Resources(ResourceOrder...)
+	external := dr.Lab.NewResources(ResourceOrder...)
 	subsets := []struct {
 		name      string
 		resources []core.Resource
@@ -157,7 +150,7 @@ func ResourceAblation(ctx context.Context, dr *DataRun, topK, workers int) (*Res
 			return nil, err
 		}
 		start := time.Now()
-		exp, err := core.Expand(ctx, important, s.resources, nil, labCache(dr), workers)
+		exp, err := core.Expand(ctx, important, s.resources, nil, dr.Lab.cache, workers)
 		if err != nil {
 			return nil, err
 		}

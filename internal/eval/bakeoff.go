@@ -79,10 +79,8 @@ func (b *Bakeoff) Format() string {
 	return sb.String()
 }
 
-// BakeoffBench is the BENCH_hierarchy.json envelope, following the
-// repository's bench-trajectory convention (cf. BENCH_serve.json,
-// BENCH_cluster.json): a benchmark name, the GOMAXPROCS it ran at, and
-// one point per builder.
+// BakeoffBench is the BENCH_hierarchy.json envelope: a benchmark name,
+// the GOMAXPROCS it ran at, and one point per builder.
 type BakeoffBench struct {
 	Benchmark  string         `json:"benchmark"`
 	GOMAXPROCS int            `json:"gomaxprocs"`

@@ -66,15 +66,14 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 		texts[i] = doc.Title + ". " + doc.Text
 	}
 
-	// Extractor stages.
-	importantAll := make([][]string, sampleDocs)
+	// Extractor stages; extracted[i][e] is extractor e's terms for doc i.
+	extracted := make([][][]string, sampleDocs)
 	for _, name := range ExtractorOrder {
 		ex := dr.Extractor(name)
 		clock.Reset()
 		start := time.Now()
 		for i, text := range texts {
-			terms := ex.Extract(text)
-			importantAll[i] = append(importantAll[i], terms...)
+			extracted[i] = append(extracted[i], ex.Extract(text))
 		}
 		rep.Extractors = append(rep.Extractors, StageCost{
 			Name:        name,
@@ -95,22 +94,15 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 		rep.LocalOnlyDocsPerSec = float64(sampleDocs) / localElapsed.Seconds()
 	}
 
-	// Deduplicate important terms per doc for expansion.
-	for i := range importantAll {
-		seen := map[string]bool{}
-		var ded []string
-		for _, t := range importantAll[i] {
-			if !seen[t] {
-				seen[t] = true
-				ded = append(ded, t)
-			}
-		}
-		importantAll[i] = ded
+	// Step 1's union per document, for expansion.
+	importantAll := make([][]string, sampleDocs)
+	for i, lists := range extracted {
+		importantAll[i] = core.UnionTerms(lists...)
 	}
 
 	// Resource stages: fresh cache so every distinct term costs a query.
 	for _, name := range ResourceOrder {
-		r := dr.Lab.Resource(name)
+		r := dr.Lab.NewResources(name)[0]
 		clock.Reset()
 		cache := core.NewResourceCache()
 		start := time.Now()
@@ -137,13 +129,13 @@ func Efficiency(dr *DataRun, sampleDocs int) (*EfficiencyReport, error) {
 	clock.Reset()
 
 	// Facet selection (Step 3) on the sample with all resources.
-	exp, err := core.Expand(context.Background(), importantAll, dr.Lab.Resources(ResourceOrder...), nil, dr.Lab.cache, 0)
+	exp, err := core.Expand(context.Background(), importantAll, dr.Lab.NewResources(ResourceOrder...), nil, dr.Lab.cache, 0)
 	if err != nil {
 		return nil, err
 	}
 	sub := subCorpus(corpus, sampleDocs)
 	start = time.Now()
-	result := core.Analyze(sub, exp.Context, 200)
+	result := core.AnalyzeWith(sub, exp.Context, 200, core.AnalyzeOptions{})
 	rep.FacetSelection = time.Since(start)
 
 	// Hierarchy construction over the selected terms.

@@ -7,115 +7,50 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/mturk"
-	"repro/internal/ner"
 	"repro/internal/newsgen"
-	"repro/internal/ontology"
 	"repro/internal/remote"
-	"repro/internal/textdb"
-	"repro/internal/websearch"
-	"repro/internal/wiki"
-	"repro/internal/wordnet"
-	"repro/internal/yterms"
+	"repro/internal/substrate"
 )
 
 // Extractor and resource display names, matching the paper's tables.
 const (
-	ExtNE        = "NE"
-	ExtYahoo     = "Yahoo"
-	ExtWikipedia = "Wikipedia"
+	ExtNE        = substrate.NE
+	ExtYahoo     = substrate.Yahoo
+	ExtWikipedia = substrate.Wikipedia
 
-	ResGoogle    = "Google"
-	ResWordNet   = "WordNet Hypernyms"
-	ResWikiSyn   = "Wikipedia Synonyms"
-	ResWikiGraph = "Wikipedia Graph"
+	ResGoogle    = substrate.Google
+	ResWordNet   = substrate.WordNet
+	ResWikiSyn   = substrate.WikiSynonyms
+	ResWikiGraph = substrate.WikiGraph
 )
 
 // ExtractorOrder and ResourceOrder are the paper's table orders.
 var (
-	ExtractorOrder = []string{ExtNE, ExtYahoo, ExtWikipedia}
-	ResourceOrder  = []string{ResGoogle, ResWordNet, ResWikiSyn, ResWikiGraph}
+	ExtractorOrder = substrate.ExtractorNames
+	ResourceOrder  = substrate.ResourceNames
 )
 
-// Lab is the shared experimental apparatus: the ground-truth knowledge
-// base and every substrate built over it. One Lab serves all datasets.
+// Lab is the shared experimental apparatus: the simulated world (the
+// ground-truth knowledge base, Wikipedia, WordNet, the search engine and
+// a latency clock) and every substrate built over it. One Lab serves all
+// datasets.
 type Lab struct {
-	KB      *ontology.KB
-	Wiki    *wiki.Wiki
-	WordNet *wordnet.DB
-	Engine  *websearch.Engine
-	Clock   *remote.Clock
+	*substrate.World
 
-	resources map[string]core.Resource
-	cache     *core.ResourceCache
-	seed      uint64
+	cache *core.ResourceCache
 }
 
-// NewLab builds the apparatus. The WordNet database is generated into the
-// real file format and loaded back through the parser.
+// NewLab builds the apparatus; it always charges virtual network latency
+// to its Clock.
 func NewLab(seed uint64) (*Lab, error) {
-	kb, err := ontology.Build(ontology.Config{Seed: seed})
+	world, err := substrate.NewWorld(seed, 0, remote.NewClock())
 	if err != nil {
-		return nil, fmt.Errorf("eval: build kb: %w", err)
+		return nil, fmt.Errorf("eval: %w", err)
 	}
-	w, err := wiki.Build(kb, wiki.Config{Seed: seed + 1})
-	if err != nil {
-		return nil, fmt.Errorf("eval: build wiki: %w", err)
-	}
-	wn, err := wordnet.FromIsa(ontology.WordNetLexicon(kb))
-	if err != nil {
-		return nil, fmt.Errorf("eval: build wordnet: %w", err)
-	}
-	lab := &Lab{
-		KB:      kb,
-		Wiki:    w,
-		WordNet: wn,
-		Engine:  websearch.NewEngineFromWiki(w),
-		Clock:   remote.NewClock(),
-		cache:   core.NewResourceCache(),
-		seed:    seed,
-	}
-	lab.resources = map[string]core.Resource{
-		ResGoogle:    websearch.NewResource(lab.Engine, 10, 10, lab.Clock),
-		ResWordNet:   wordnet.NewResource(wn, 2),
-		ResWikiSyn:   wiki.NewSynonymResource(w),
-		ResWikiGraph: wiki.NewGraphResource(w, 50),
-	}
-	return lab, nil
-}
-
-// Resource returns a resource by paper name; it panics on unknown names
-// (names are compile-time constants).
-func (l *Lab) Resource(name string) core.Resource {
-	r, ok := l.resources[name]
-	if !ok {
-		panic("eval: unknown resource " + name)
-	}
-	return r
-}
-
-// Resources maps names to resources in ResourceOrder.
-func (l *Lab) Resources(names ...string) []core.Resource {
-	out := make([]core.Resource, len(names))
-	for i, n := range names {
-		out[i] = l.Resource(n)
-	}
-	return out
-}
-
-// Gazetteer returns the entity names and variants the NE tagger is primed
-// with (the stand-in for LingPipe's trained model).
-func (l *Lab) Gazetteer() []string {
-	var names []string
-	for _, e := range l.KB.Entities() {
-		names = append(names, e.Display)
-		names = append(names, e.Variants...)
-	}
-	sort.Strings(names)
-	return names
+	return &Lab{World: world, cache: core.NewResourceCache()}, nil
 }
 
 // DataRun binds the lab to one generated dataset and caches per-extractor
@@ -141,22 +76,15 @@ func (l *Lab) NewDataRun(p newsgen.Profile, seed uint64) (*DataRun, error) {
 
 // NewDataRunFrom wraps an existing dataset.
 func (l *Lab) NewDataRunFrom(ds *newsgen.Dataset, seed uint64) (*DataRun, error) {
-	// Background statistics for the Yahoo-style extractor: the corpus's
-	// own document frequencies.
-	bg := textdb.NewDFTable(ds.Corpus.Dict())
-	for i := 0; i < ds.Corpus.Len(); i++ {
-		bg.AddDoc(ds.Corpus.DocTerms(textdb.DocID(i)))
-	}
 	dr := &DataRun{
-		Lab:  l,
-		DS:   ds,
-		Pool: mturk.NewPool(l.KB, mturk.Config{Seed: seed + 100}),
-		extractors: map[string]core.Extractor{
-			ExtNE:        ner.New(ner.WithGazetteer(l.Gazetteer())),
-			ExtYahoo:     yterms.New(bg, 12, l.Clock),
-			ExtWikipedia: wiki.NewTitleExtractor(l.Wiki),
-		},
-		important: map[string][][]string{},
+		Lab:        l,
+		DS:         ds,
+		Pool:       mturk.NewPool(l.KB, mturk.Config{Seed: seed + 100}),
+		extractors: map[string]core.Extractor{},
+		important:  map[string][][]string{},
+	}
+	for i, e := range l.NewExtractors(ds.Corpus, ExtractorOrder...) {
+		dr.extractors[ExtractorOrder[i]] = e
 	}
 	return dr, nil
 }
@@ -183,22 +111,14 @@ func (dr *DataRun) Important(extractor string) [][]string {
 	}
 	var out [][]string
 	if extractor == ExtAll {
-		// Union of the three extractors per document, preserving order.
-		parts := make([][][]string, 0, len(ExtractorOrder))
-		for _, name := range ExtractorOrder {
-			parts = append(parts, dr.Important(name))
-		}
+		// Step 1's union of the three extractors' cached terms.
 		out = make([][]string, dr.DS.Corpus.Len())
+		lists := make([][]string, len(ExtractorOrder))
 		for d := range out {
-			seen := map[string]bool{}
-			for _, p := range parts {
-				for _, t := range p[d] {
-					if !seen[t] {
-						seen[t] = true
-						out[d] = append(out[d], t)
-					}
-				}
+			for i, name := range ExtractorOrder {
+				lists[i] = dr.Important(name)[d]
 			}
+			out[d] = core.UnionTerms(lists...)
 		}
 	} else {
 		// Step 1 fails only on cancellation, and a background context
@@ -212,9 +132,9 @@ func (dr *DataRun) Important(extractor string) [][]string {
 // resourceSet resolves a resource configuration name to resources.
 func (dr *DataRun) resourceSet(resource string) []core.Resource {
 	if resource == ResAll {
-		return dr.Lab.Resources(ResourceOrder...)
+		return dr.Lab.NewResources(ResourceOrder...)
 	}
-	return []core.Resource{dr.Lab.Resource(resource)}
+	return dr.Lab.NewResources(resource)
 }
 
 // RunCell executes the pipeline for one (extractor config, resource

@@ -39,8 +39,11 @@ func (ing *Ingester) runEpoch() error {
 	ing.mu.Unlock()
 
 	// Durability first: a crash during the rebuild must not lose accepted
-	// intake. Each epoch's documents form one segment; Store.Append is
-	// crash-safe (segment fsync + atomic manifest rename).
+	// intake. Each epoch's documents form one segment. Store.Append writes
+	// the segment and then the manifest through textdb.WriteFileAtomic
+	// (fsync the file, rename, fsync the directory), so a crash should
+	// leave the previous manifest or the new one; no test crashes it at
+	// every byte yet.
 	if ing.cfg.Store != nil && len(newDocs) > 0 {
 		if err := ing.cfg.Store.Append(newDocs); err != nil {
 			ing.mu.Lock()

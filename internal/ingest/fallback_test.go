@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -79,6 +80,59 @@ func TestFallbackStaysOutOfPartialOutage(t *testing.T) {
 	}
 	if got := ing.Stats().DocsIngested; got != 3 {
 		t.Fatalf("DocsIngested = %d, want 3 (no half-ingest)", got)
+	}
+}
+
+// termOutage fails the lookups of the terms in down and answers the rest
+// from its thesaurus.
+type termOutage struct {
+	mapResource
+	down map[string]bool
+}
+
+func (r termOutage) ContextErr(ctx context.Context, term string) ([]string, error) {
+	if r.down[term] {
+		return nil, errors.New(r.name + ": lookup failed")
+	}
+	return r.m[term], nil
+}
+
+// TestFallbackRescueCountedOnAdmission: the fallback rescues a document's
+// first term (every resource failed it), but a later term hits a partial
+// outage, so the document is dead-lettered. A rescue counts only for an
+// admitted document: FallbackLookups stays 0, on intake and on a retry.
+func TestFallbackRescueCountedOnAdmission(t *testing.T) {
+	cfg := testConfig()
+	cfg.Resources = []core.Resource{
+		termOutage{mapResource: testResource(), down: map[string]bool{"dupont": true, "lyon": true}},
+		termOutage{mapResource: mapResource{name: "partial", m: map[string][]string{"lyon": {"france"}}}, down: map[string]bool{"dupont": true}},
+	}
+	cfg.Fallback = mapResource{name: "corpus", m: map[string][]string{"dupont": {"politicians"}}}
+	cfg.EpochDocs = 1000
+	ing, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Bootstrap(testDocs(3), false); err != nil {
+		t.Fatal(err)
+	}
+	ing.Start()
+	defer drain(t, ing)
+
+	doc := testDocs(4)[3]
+	doc.Text = "Dupont spoke in Lyon"
+	if err := ing.SubmitContext(context.Background(), doc); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "dead letter", func() bool { return ing.Stats().DeadLetters == 1 })
+	if got := ing.Stats().FallbackLookups; got != 0 {
+		t.Fatalf("FallbackLookups = %d for a dead-lettered document, want 0", got)
+	}
+	if n, err := ing.RetryDeadLetters(context.Background()); err != nil || n != 0 {
+		t.Fatalf("retry = (%d, %v), want (0, nil)", n, err)
+	}
+	if got := ing.Stats().FallbackLookups; got != 0 {
+		t.Fatalf("FallbackLookups = %d after a failed retry, want 0", got)
 	}
 }
 

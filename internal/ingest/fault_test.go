@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/browse"
 	"repro/internal/core"
+	"repro/internal/textdb"
 )
 
 // toggleResource is a ResourceErr whose availability flips at runtime —
@@ -234,5 +235,52 @@ func TestLRUCacheErrorNotCached(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("success not cached: %d entries", c.Len())
+	}
+}
+
+// brokenExtractor always fails.
+type brokenExtractor struct{}
+
+func (brokenExtractor) Name() string            { return "broken" }
+func (brokenExtractor) Extract(string) []string { return nil }
+func (brokenExtractor) ExtractErr(context.Context, string) ([]string, error) {
+	return nil, errors.New("extractor down")
+}
+
+// TestDeadLetterMessages pins the dead-letter error of each live failure:
+// a failed extractor, a resource failure nothing rescued, and a term
+// whose fallback failed after every resource had.
+func TestDeadLetterMessages(t *testing.T) {
+	down := func(name string) *toggleResource {
+		r := &toggleResource{mapResource: mapResource{name: name}}
+		r.down.Store(true)
+		return r
+	}
+	healthy := testResource()
+	cases := []struct {
+		name       string
+		extractors []core.Extractor
+		resources  []core.Resource
+		fallback   core.Resource
+		want       string
+	}{
+		{"extractor", []core.Extractor{wordExtractor{}, brokenExtractor{}}, []core.Resource{healthy}, nil, "extractor broken: extractor down"},
+		{"resource", []core.Extractor{wordExtractor{}}, []core.Resource{healthy, down("world2")}, nil, `resource world2("note"): world: service down`},
+		{"partial-with-fallback", []core.Extractor{wordExtractor{}}, []core.Resource{down("world1"), healthy, down("world2")}, healthy, `resource world1("note"): world: service down`},
+		{"fallback", []core.Extractor{wordExtractor{}}, []core.Resource{down("world1"), down("world2")}, down("corpus"), `fallback corpus("note"): world: service down`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Extractors, cfg.Resources, cfg.Fallback = c.extractors, c.resources, c.fallback
+			ing, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ing.analyze(context.Background(), &textdb.Document{Title: "note", Text: "Chirac"})
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("analysis error = %v, want %q", err, c.want)
+			}
+		})
 	}
 }

@@ -81,8 +81,6 @@ type Config struct {
 	// HierarchyBuilder selects the hierarchy strategy by name
 	// (hierarchy.Names); "" = "subsumption".
 	HierarchyBuilder string
-	// MaxImportantPerDoc caps important terms per document (0 = no cap).
-	MaxImportantPerDoc int
 
 	// Workers sizes the intake pool (0 = GOMAXPROCS).
 	Workers int
@@ -226,6 +224,9 @@ func New(cfg Config) (*Ingester, error) {
 	ing := &Ingester{
 		cfg:           cfg,
 		builder:       builder,
+		extractors:    core.AsExtractorErrs(cfg.Extractors),
+		resources:     core.AsResourceErrs(cfg.Resources),
+		fallback:      core.AsResourceErr(cfg.Fallback),
 		cache:         newLRUCache(cfg.CacheSize),
 		queue:         make(chan *textdb.Document, cfg.QueueSize),
 		corpus:        corpus,
@@ -235,17 +236,6 @@ func New(cfg Config) (*Ingester, error) {
 		expandScratch: map[textdb.TermID]bool{},
 		kick:          make(chan struct{}, 1),
 		stop:          make(chan struct{}),
-	}
-	ing.extractors = make([]core.ExtractorErr, len(cfg.Extractors))
-	for i, ex := range cfg.Extractors {
-		ing.extractors[i] = core.AsExtractorErr(ex)
-	}
-	ing.resources = make([]core.ResourceErr, len(cfg.Resources))
-	for i, r := range cfg.Resources {
-		ing.resources[i] = core.AsResourceErr(r)
-	}
-	if cfg.Fallback != nil {
-		ing.fallback = core.AsResourceErr(cfg.Fallback)
 	}
 	if cfg.Store != nil {
 		ing.persistedDocs.Store(int64(cfg.Store.Docs()))
@@ -290,93 +280,59 @@ func (ing *Ingester) RegisterMetrics(reg *obsv.Registry) {
 	reg.GaugeFunc("ingest.fallback_lookups", ing.fallbackLookups.Load)
 }
 
-// analysis is the lock-free part of processing one document.
-type analysis struct {
-	ctx          []string
-	corroborated []int32
-}
-
-// analyze runs Fig. 1 (important-term identification, the union of all
-// extractors, first-extractor-first) and Fig. 2 (context expansion
+// analyze runs Fig. 1 (core.ImportantTerms) and Fig. 2 (core.ExpandDoc
 // through the LRU cache) for one document. No locks are held; this is the
 // CPU-bound work the worker pool shards.
 //
-// Any dependency failure — an extractor, or a resource lookup that the
-// resilience layer gave up on — fails the whole analysis: a document is
-// either ingested with its complete term sets or dead-lettered and
-// retried later, never half-expanded (a partial expansion would silently
-// skew the DF tables against the paper's Fig. 2 semantics).
-func (ing *Ingester) analyze(ctx context.Context, doc *textdb.Document) (analysis, error) {
-	text := doc.Title + ". " + doc.Text
-	seen := map[string]bool{}
-	var terms []string
-	for _, ex := range ing.extractors {
-		extracted, err := ex.ExtractErr(ctx, text)
-		if err != nil {
-			return analysis{}, fmt.Errorf("extractor %s: %w", ex.Name(), err)
-		}
-		for _, t := range extracted {
-			if t == "" || seen[t] {
-				continue
-			}
-			seen[t] = true
-			terms = append(terms, t)
-		}
+// Live intake differs from a batch run only in its failure policy. A
+// failed extractor, or a resource lookup that the resilience layer gave
+// up on and the fallback did not rescue, fails the whole analysis: a
+// document is either ingested with its complete term sets or
+// dead-lettered and retried later, never half-expanded (a partial
+// expansion would silently skew the DF tables against the paper's Fig. 2
+// semantics).
+func (ing *Ingester) analyze(ctx context.Context, doc *textdb.Document) (core.DocExpansion, error) {
+	important, extFailures, err := core.ImportantTerms(ctx, doc, ing.extractors)
+	if err != nil {
+		return core.DocExpansion{}, err
 	}
-	if max := ing.cfg.MaxImportantPerDoc; max > 0 && len(terms) > max {
-		terms = terms[:max]
+	if len(extFailures) > 0 {
+		f := extFailures[0]
+		return core.DocExpansion{}, fmt.Errorf("extractor %s: %w", f.Extractor, f.Err)
 	}
-	var row core.ContextRow
-	for k, t := range terms {
-		failed := 0
-		var firstErr error
-		for _, r := range ing.resources {
-			lookedUp, err := ing.cache.LookupErr(ctx, r, t)
-			if err != nil {
-				err = fmt.Errorf("resource %s(%q): %w", r.Name(), t, err)
-				if ing.fallback == nil {
-					return analysis{}, err
-				}
-				// With a fallback configured, keep trying the remaining
-				// resources: only a TOTAL failure for this term is
-				// rescuable, and we need to know which case this is.
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			row.Add(k, lookedUp)
-		}
-		if failed > 0 {
-			if failed < len(ing.resources) {
-				// Partial outage: some resource answered, so admitting now
-				// would half-expand the document. Dead-letter and retry.
-				return analysis{}, firstErr
-			}
-			lookedUp, err := ing.cache.LookupErr(ctx, ing.fallback, t)
-			if err != nil {
-				return analysis{}, fmt.Errorf("fallback %s(%q): %w", ing.fallback.Name(), t, err)
-			}
-			ing.fallbackLookups.Add(1)
-			row.Add(k, lookedUp)
-		}
+	exp, err := core.ExpandDoc(ctx, &core.ContextRow{}, important, ing.resources, ing.fallback, ing.cache)
+	if err != nil {
+		return core.DocExpansion{}, err
 	}
-	var a analysis
-	a.ctx, a.corroborated = row.Finish(len(terms))
-	return a, nil
+	for i, f := range exp.Failures {
+		if f.Rescued {
+			continue
+		}
+		// The first term left short of full context fails the document.
+		// When its fallback failed too, that failure, which follows the
+		// term's resource failures, is the one to report.
+		if j := i + len(ing.resources); j < len(exp.Failures) && exp.Failures[j].Fallback && exp.Failures[j].Term == f.Term {
+			f = exp.Failures[j]
+		}
+		if f.Fallback {
+			return core.DocExpansion{}, fmt.Errorf("fallback %s(%q): %w", f.Resource, f.Term, f.Err)
+		}
+		return core.DocExpansion{}, fmt.Errorf("resource %s(%q): %w", f.Resource, f.Term, f.Err)
+	}
+	return exp, nil
 }
 
 // process analyzes one document and either admits it into the pipeline
-// or routes it to the dead-letter queue. persist marks the document for
-// durable Append at the next epoch.
-func (ing *Ingester) process(doc *textdb.Document, persist bool, attempts int) {
-	a, err := ing.analyze(context.Background(), doc)
+// (and reports true) or routes it to the dead-letter queue. attempts
+// counts the document's earlier failed analyses.
+func (ing *Ingester) process(ctx context.Context, doc *textdb.Document, attempts int) bool {
+	a, err := ing.analyze(ctx, doc)
 	if err != nil {
 		ing.deadLetter(doc, attempts+1, err)
-		return
+		return false
 	}
-	ing.admit(doc, a, persist)
+	ing.admit(doc, a, true)
+	return true
 }
 
 // DeadLetterDoc is one permanently-failed document awaiting retry.
@@ -397,13 +353,7 @@ func (ing *Ingester) deadLetter(doc *textdb.Document, attempts int, err error) {
 	if ing.cfg.Logf != nil {
 		ing.cfg.Logf("ingest: dead-lettering document %q (attempt %d): %v", doc.Title, attempts, err)
 	}
-	ing.dlqMu.Lock()
-	defer ing.dlqMu.Unlock()
-	ing.dlq = append(ing.dlq, DeadLetterDoc{Doc: doc, Attempts: attempts, Err: err.Error()})
-	if over := len(ing.dlq) - ing.cfg.DeadLetterSize; over > 0 {
-		ing.dlq = append([]DeadLetterDoc(nil), ing.dlq[over:]...)
-		ing.dlqDropped.Add(int64(over))
-	}
+	ing.enqueueDeadLetter(DeadLetterDoc{Doc: doc, Attempts: attempts, Err: err.Error()})
 }
 
 // DeadLetters returns a snapshot of the dead-letter queue, oldest first.
@@ -436,23 +386,21 @@ func (ing *Ingester) RetryDeadLetters(ctx context.Context) (int, error) {
 		if err := ctx.Err(); err != nil {
 			// Put the unprocessed tail back, preserving order.
 			for _, rest := range batch[i:] {
-				ing.requeueDeadLetter(rest)
+				ing.enqueueDeadLetter(rest)
 			}
 			return admitted, err
 		}
-		a, err := ing.analyze(ctx, dl.Doc)
-		if err != nil {
-			ing.deadLetter(dl.Doc, dl.Attempts+1, err)
-			continue
+		if ing.process(ctx, dl.Doc, dl.Attempts) {
+			admitted++
 		}
-		ing.admit(dl.Doc, a, true)
-		admitted++
 	}
 	return admitted, nil
 }
 
-// requeueDeadLetter restores an entry untouched (no failure counted).
-func (ing *Ingester) requeueDeadLetter(dl DeadLetterDoc) {
+// enqueueDeadLetter appends an entry to the bounded dead-letter queue,
+// dropping (and counting) the oldest entry when full; it counts no
+// failure.
+func (ing *Ingester) enqueueDeadLetter(dl DeadLetterDoc) {
 	ing.dlqMu.Lock()
 	defer ing.dlqMu.Unlock()
 	ing.dlq = append(ing.dlq, dl)
@@ -465,16 +413,18 @@ func (ing *Ingester) requeueDeadLetter(dl DeadLetterDoc) {
 // admit merges one analyzed document into the incremental pipeline state:
 // the corpus, the Fig. 1/2 result rows, and the DF delta tables for D and
 // C(D). persist marks the document for durable Append at the next epoch
-// (false for documents replayed from the store at warm-start).
-func (ing *Ingester) admit(doc *textdb.Document, a analysis, persist bool) {
+// (false for documents replayed from the store at warm-start). The
+// document's fallback rescues count only now, once it is in: a
+// dead-lettered document's rescues never reached the tables.
+func (ing *Ingester) admit(doc *textdb.Document, a core.DocExpansion, persist bool) {
 	ing.mu.Lock()
 	id := ing.corpus.Add(doc)
 	orig := ing.corpus.DocTerms(id)
 	ing.dfD.AddDoc(orig)
-	ing.expandBuf = core.ExpandDocTermsAppend(ing.expandBuf[:0], ing.corpus.Dict(), orig, a.ctx, ing.expandScratch, ing.ctxTerms)
+	ing.expandBuf = core.ExpandDocTermsAppend(ing.expandBuf[:0], ing.corpus.Dict(), orig, a.Context, ing.expandScratch, ing.ctxTerms)
 	ing.dfC.AddDoc(ing.expandBuf)
-	ing.context = append(ing.context, a.ctx)
-	ing.corroborated = append(ing.corroborated, a.corroborated)
+	ing.context = append(ing.context, a.Context)
+	ing.corroborated = append(ing.corroborated, a.Corroborated)
 	if persist && ing.cfg.Store != nil {
 		ing.pending = append(ing.pending, doc)
 	}
@@ -483,6 +433,7 @@ func (ing *Ingester) admit(doc *textdb.Document, a analysis, persist bool) {
 	ing.mu.Unlock()
 
 	ing.docsIngested.Add(1)
+	ing.fallbackLookups.Add(int64(a.Rescues))
 	if due {
 		select {
 		case ing.kick <- struct{}{}:
@@ -502,7 +453,7 @@ func (ing *Ingester) Bootstrap(docs []*textdb.Document, persist bool) error {
 	if ing.started {
 		return fmt.Errorf("ingest: bootstrap after start")
 	}
-	analyses := make([]analysis, len(docs))
+	analyses := make([]core.DocExpansion, len(docs))
 	errs := make([]error, len(docs))
 	parallel.For(context.Background(), len(docs), ing.cfg.Workers, func(_, i int) {
 		analyses[i], errs[i] = ing.analyze(context.Background(), docs[i])
@@ -540,7 +491,7 @@ func (ing *Ingester) Start() {
 		go func() {
 			defer ing.wg.Done()
 			for doc := range ing.queue {
-				ing.process(doc, true, 0)
+				ing.process(context.Background(), doc, 0)
 			}
 		}()
 	}

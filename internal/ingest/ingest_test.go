@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,31 @@ func (wordExtractor) Extract(text string) []string {
 	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
+}
+
+// headWords and tailWords mark overlapping halves of wordExtractor's
+// output important: the first half and one more word in text order, and
+// the second half and one more word reversed. Each test story names one
+// resource term in each half, so only Step 1's union of the two, every
+// word in an order neither extractor gives alone, expands it fully.
+type headWords struct{}
+
+func (headWords) Name() string { return "head" }
+
+func (headWords) Extract(text string) []string {
+	w := wordExtractor{}.Extract(text)
+	return w[:len(w)/2+1]
+}
+
+type tailWords struct{}
+
+func (tailWords) Name() string { return "tail" }
+
+func (tailWords) Extract(text string) []string {
+	w := wordExtractor{}.Extract(text)
+	w = w[len(w)/2-1:]
+	slices.Reverse(w)
+	return w
 }
 
 // mapResource is a thesaurus-backed stand-in for the Fig. 2 resources.
@@ -98,20 +124,26 @@ func drain(t *testing.T, ing *Ingester) {
 // corpus, and assign every document exactly the facet terms
 // core.AssignDocTerms assigns it over the batch result. The outage case
 // runs both paths with every resource down and a fallback configured:
-// the fallback's context terms must vote in batch as they do live.
+// the fallback's context terms must vote in batch as they do live. The
+// two-extractor case runs extractors whose outputs overlap in different
+// orders, so both paths must take the same union.
 func TestIncrementalMatchesBatch(t *testing.T) {
+	words := []core.Extractor{wordExtractor{}}
 	t.Run("healthy", func(t *testing.T) {
-		checkIncrementalMatchesBatch(t, []core.Resource{testResource()}, nil)
+		checkIncrementalMatchesBatch(t, words, []core.Resource{testResource()}, nil)
+	})
+	t.Run("two-extractors", func(t *testing.T) {
+		checkIncrementalMatchesBatch(t, []core.Extractor{headWords{}, tailWords{}}, []core.Resource{testResource()}, nil)
 	})
 	t.Run("total-outage-fallback", func(t *testing.T) {
 		down := &toggleResource{mapResource: testResource()}
 		down.down.Store(true)
 		fallback := mapResource{name: "corpus", m: testResource().m}
-		checkIncrementalMatchesBatch(t, []core.Resource{down}, fallback)
+		checkIncrementalMatchesBatch(t, words, []core.Resource{down}, fallback)
 	})
 }
 
-func checkIncrementalMatchesBatch(t *testing.T, resources []core.Resource, fallback core.Resource) {
+func checkIncrementalMatchesBatch(t *testing.T, extractors []core.Extractor, resources []core.Resource, fallback core.Resource) {
 	const n = 42
 
 	// Batch run.
@@ -120,14 +152,14 @@ func checkIncrementalMatchesBatch(t *testing.T, resources []core.Resource, fallb
 		corpus.Add(d)
 	}
 	p, err := core.New(core.Config{
-		Extractors: []core.Extractor{wordExtractor{}},
+		Extractors: extractors,
 		Resources:  resources,
 		Fallback:   fallback,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := p.Run(corpus)
+	batch, err := p.RunContext(context.Background(), corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +170,7 @@ func checkIncrementalMatchesBatch(t *testing.T, resources []core.Resource, fallb
 	// Incremental run: bootstrap a prefix, stream the rest across several
 	// epochs.
 	cfg := testConfig()
+	cfg.Extractors = extractors
 	cfg.Resources = resources
 	cfg.Fallback = fallback
 	cfg.EpochDocs = 7

@@ -1,6 +1,7 @@
 package resilient_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -82,7 +83,7 @@ func run(t *testing.T, workers int, extractor core.Extractor, resources ...core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(chaosCorpus())
+	res, err := p.RunContext(context.Background(), chaosCorpus())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,44 +1,34 @@
 package snapshot
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/browse"
 	"repro/internal/obsv"
+	"repro/internal/textdb"
 )
 
-// Save atomically writes the snapshot to path (temp file + rename, so a
-// crash mid-write never leaves a half-snapshot where a loader will find
-// it). When reg is non-nil it records snapshot.save_duration and
-// snapshot.size_bytes.
+// Save writes the snapshot to path through textdb.WriteFileAtomic, so a
+// crash leaves either the previous snapshot or the complete new one where
+// a loader will find it. When reg is non-nil it records
+// snapshot.save_duration and snapshot.size_bytes.
 func Save(path string, s *Snapshot, reg *obsv.Registry) error {
 	start := time.Now()
 	data, err := Encode(s)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snapshot-*")
+	err = textdb.WriteFileAtomic(path, func(w *bufio.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("snapshot: save: %w", err)
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("snapshot: save: %w", werr)
 	}
 	if reg != nil {
 		reg.Histogram("snapshot.save_duration").Observe(time.Since(start))

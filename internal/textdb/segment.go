@@ -111,51 +111,38 @@ func (s *Store) Append(docs []*Document) error {
 		}(time.Now())
 	}
 	name := fmt.Sprintf("segment-%06d.seg", len(s.segments))
-	tmp := filepath.Join(s.dir, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("textdb: create segment: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(segMagic); err != nil {
-		f.Close()
-		return err
-	}
-	for _, d := range docs {
-		if err := writeRecord(w, d); err != nil {
-			f.Close()
+	err := WriteFileAtomic(filepath.Join(s.dir, name), func(w *bufio.Writer) error {
+		if _, err := w.WriteString(segMagic); err != nil {
 			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
-		return fmt.Errorf("textdb: publish segment: %w", err)
+		for _, d := range docs {
+			if err := writeRecord(w, d); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("textdb: write segment: %w", err)
 	}
 	s.segments = append(s.segments, segmentInfo{name, len(docs)})
 	return s.writeManifest()
 }
 
 func (s *Store) writeManifest() error {
-	var sb strings.Builder
-	sb.WriteString(manifestHeader + "\n")
-	for _, seg := range s.segments {
-		fmt.Fprintf(&sb, "%s %d\n", seg.name, seg.docs)
-	}
-	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
+	err := WriteFileAtomic(filepath.Join(s.dir, manifestName), func(w *bufio.Writer) error {
+		// A bufio.Writer keeps its first error; WriteFileAtomic's Flush
+		// returns it.
+		w.WriteString(manifestHeader + "\n")
+		for _, seg := range s.segments {
+			fmt.Fprintf(w, "%s %d\n", seg.name, seg.docs)
+		}
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("textdb: write manifest: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(s.dir, manifestName))
+	return nil
 }
 
 func writeRecord(w *bufio.Writer, d *Document) error {
