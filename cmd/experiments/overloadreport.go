@@ -71,7 +71,7 @@ func overloadReport(w io.Writer, seed uint64) error {
 		Metrics: reg,
 	})
 	srv := serve.New(iface, "overload harness", serve.WithMetrics(reg), serve.WithOverload(gov))
-	srv.Handle("GET", "work", "work", func(w http.ResponseWriter, r *http.Request) {
+	srv.Handle("GET", "work", func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(serviceCost) // the synthetic service cost, inside admission
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"ok":true}`)

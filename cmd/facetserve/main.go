@@ -135,8 +135,15 @@ func main() {
 	// segment store all surface through GET /api/v1/metrics.
 	metrics := obsv.NewRegistry()
 	serveOpts := []serve.Option{serve.WithMetrics(metrics)}
-	if *accessLog {
-		serveOpts = append(serveOpts, serve.WithAccessLog(os.Stderr))
+	// debug turns on the opt-in operator surfaces of whichever router
+	// the role serves.
+	debug := func(rt *serve.Router) {
+		if *accessLog {
+			rt.SetAccessLog(os.Stderr)
+		}
+		if *pprofOn {
+			rt.EnablePprof()
+		}
 	}
 
 	// Admission control: one governor per process, shared by every route
@@ -167,10 +174,10 @@ func main() {
 	switch *role {
 	case "", "shard", "leader":
 	case "coordinator":
-		runCoordinator(*addr, *peersRaw, *shardTimeout, metrics, gov, hard)
+		runCoordinator(*addr, *peersRaw, *shardTimeout, metrics, gov, debug, hard)
 		return
 	case "replica":
-		runReplica(*addr, *peersRaw, *pollInterval, *maxLag, metrics, serveOpts, *pprofOn, hard)
+		runReplica(*addr, *peersRaw, *pollInterval, *maxLag, metrics, serveOpts, debug, hard)
 		return
 	default:
 		log.Fatalf("unknown -role %q (want shard, coordinator, leader, or replica)", *role)
@@ -192,7 +199,7 @@ func main() {
 			title := fmt.Sprintf("%s archive — %d stories, %d facet terms (snapshot)", snap.Meta.Profile, len(snap.Docs), len(snap.Facets))
 			log.Printf("warm start: %s (%d docs, %d posting lists, epoch %d); pipeline skipped", *snapPath, len(snap.Docs), len(snap.Postings), snap.Meta.Epoch)
 			go validateSnapshot(snap, *snapPath, metrics)
-			serveFrozen(iface, title, *addr, serveOpts, *pprofOn, cl, hard)
+			serveFrozen(iface, title, *addr, serveOpts, debug, cl, hard)
 			return
 		} else if !errors.Is(err, os.ErrNotExist) {
 			log.Printf("snapshot %s unusable (%v); rebuilding from the pipeline", *snapPath, err)
@@ -250,7 +257,7 @@ func main() {
 	}
 
 	if !*live {
-		serveBatch(sys, *addr, *profile, *seed, *snapPath, metrics, serveOpts, *pprofOn, cl, hard)
+		serveBatch(sys, *addr, *profile, *seed, *snapPath, metrics, serveOpts, debug, cl, hard)
 		return
 	}
 
@@ -284,9 +291,7 @@ func main() {
 	title := fmt.Sprintf("%s live archive — streaming ingestion enabled", *profile)
 	srv := serve.New(ing.Current(), title, serveOpts...)
 	srv.EnableIngest(ing)
-	if *pprofOn {
-		srv.EnablePprof()
-	}
+	debug(srv.Router)
 	var ship *cluster.Shipper
 	if *role == "leader" {
 		// A live leader ships every published epoch to pulling replicas;
@@ -389,7 +394,7 @@ func serveForever(addr string, h http.Handler, hard hardening) {
 
 // runCoordinator serves the scatter-gather front end: no corpus, no
 // pipeline, just fan-out over the shard peers.
-func runCoordinator(addr, peersRaw string, timeout time.Duration, metrics *obsv.Registry, gov *overload.Governor, hard hardening) {
+func runCoordinator(addr, peersRaw string, timeout time.Duration, metrics *obsv.Registry, gov *overload.Governor, debug func(*serve.Router), hard hardening) {
 	peers, err := cluster.ParsePeers(peersRaw)
 	if err != nil {
 		log.Fatalf("%v (coordinator needs -peers=name=url,name=url)", err)
@@ -398,6 +403,7 @@ func runCoordinator(addr, peersRaw string, timeout time.Duration, metrics *obsv.
 	if err != nil {
 		log.Fatal(err)
 	}
+	debug(coord.Router)
 	names := make([]string, len(peers))
 	for i, p := range peers {
 		names[i] = p.Name
@@ -409,7 +415,7 @@ func runCoordinator(addr, peersRaw string, timeout time.Duration, metrics *obsv.
 // runReplica pulls the leader's snapshots: block until the first epoch
 // is applied, then serve it and keep polling in the background. The
 // replica holds no durable state — a restart just re-syncs.
-func runReplica(addr, leaderURL string, interval time.Duration, maxLag uint64, metrics *obsv.Registry, opts []serve.Option, pprofOn bool, hard hardening) {
+func runReplica(addr, leaderURL string, interval time.Duration, maxLag uint64, metrics *obsv.Registry, opts []serve.Option, debug func(*serve.Router), hard hardening) {
 	if leaderURL == "" {
 		log.Fatal("-role=replica needs -peers=<leader base URL>")
 	}
@@ -429,9 +435,7 @@ func runReplica(addr, leaderURL string, interval time.Duration, maxLag uint64, m
 		if srv == nil {
 			srv = serve.New(iface, "replica of "+leaderURL, opts...)
 			srv.AddReadiness("replication", rep.Ready)
-			if pprofOn {
-				srv.EnablePprof()
-			}
+			debug(srv.Router)
 			return
 		}
 		srv.Publish(iface)
@@ -451,7 +455,7 @@ func runReplica(addr, leaderURL string, interval time.Duration, maxLag uint64, m
 
 // serveBatch is the frozen-corpus mode: run the pipeline once, optionally
 // persist the result as a snapshot, and serve.
-func serveBatch(sys *facet.System, addr, profile string, seed uint64, snapPath string, metrics *obsv.Registry, opts []serve.Option, pprofOn bool, cl *clusterOpts, hard hardening) {
+func serveBatch(sys *facet.System, addr, profile string, seed uint64, snapPath string, metrics *obsv.Registry, opts []serve.Option, debug func(*serve.Router), cl *clusterOpts, hard hardening) {
 	log.Printf("extracting facets from %d documents...", sys.Len())
 	res, err := sys.ExtractFacets()
 	if err != nil {
@@ -484,7 +488,7 @@ func serveBatch(sys *facet.System, addr, profile string, seed uint64, snapPath s
 		}
 	}
 	title := fmt.Sprintf("%s archive — %d stories, %d facet terms", profile, sys.Len(), len(res.Facets))
-	serveFrozen(iface, title, addr, opts, pprofOn, cl, hard)
+	serveFrozen(iface, title, addr, opts, debug, cl, hard)
 }
 
 // serveFrozen serves an already-built interface forever (shared by the
@@ -492,7 +496,7 @@ func serveBatch(sys *facet.System, addr, profile string, seed uint64, snapPath s
 // what exactly goes on the wire: a shard serves its ring partition plus
 // the scatter endpoints, a leader serves everything plus the snapshot
 // shipping endpoint, a plain node just serves.
-func serveFrozen(iface *browse.Interface, title, addr string, opts []serve.Option, pprofOn bool, cl *clusterOpts, hard hardening) {
+func serveFrozen(iface *browse.Interface, title, addr string, opts []serve.Option, debug func(*serve.Router), cl *clusterOpts, hard hardening) {
 	srv := serve.New(iface, title, opts...)
 	switch cl.role {
 	case "shard":
@@ -520,9 +524,7 @@ func serveFrozen(iface *browse.Interface, title, addr string, opts []serve.Optio
 		}
 		log.Printf("leader: shipping epoch %d at /api/v1/cluster/snapshot", iface.Epoch())
 	}
-	if pprofOn {
-		srv.EnablePprof()
-	}
+	debug(srv.Router)
 	log.Printf("serving %s", title)
 	serveForever(addr, srv, hard)
 }

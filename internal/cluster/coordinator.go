@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,10 +17,6 @@ import (
 	"repro/internal/resilient"
 	"repro/internal/serve"
 )
-
-// errNeedAB mirrors the single-node cross handler's message exactly so
-// coordinator and single-node validation errors are byte-identical.
-var errNeedAB = errors.New("need a and b facet parameters")
 
 // Peer names one shard server the coordinator fans out to.
 type Peer struct {
@@ -109,13 +104,12 @@ type shardClient struct {
 // partial answers, and serves the same public /api/v1/ routes as a
 // single node — byte-identically when all shards answer, and with an
 // explicit "degraded" report naming the missing shards when some don't.
+// It is built on the node's router, so metrics, probes, the 404/405
+// fallback and the middleware stack are the node's own.
 type Coordinator struct {
+	*serve.Router
 	cfg    Config
 	shards []*shardClient
-
-	mux       *http.ServeMux
-	httpm     *obsv.HTTPMetrics
-	apiRoutes map[string][]string
 
 	fanout     *obsv.Histogram
 	merge      *obsv.Histogram
@@ -131,6 +125,7 @@ func NewCoordinator(peers []Peer, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	seen := map[string]bool{}
 	c := &Coordinator{
+		Router:     serve.NewRouter(serve.WithMetrics(cfg.Metrics), serve.WithOverload(cfg.Governor)),
 		cfg:        cfg,
 		fanout:     cfg.Metrics.Histogram("cluster.fanout_latency"),
 		merge:      cfg.Metrics.Histogram("cluster.merge_latency"),
@@ -157,46 +152,22 @@ func NewCoordinator(peers []Peer, cfg Config) (*Coordinator, error) {
 		cfg.Metrics.GaugeFunc("cluster.shard."+p.Name+".breaker_state", func() int64 {
 			return int64(br.State())
 		})
+		// Readiness follows the breakers: the coordinator still SERVES
+		// partial results while a shard is out, so readyz is the
+		// operator's signal, not a traffic gate.
+		c.AddReadiness(p.Name, func() error {
+			if st := br.State(); st != resilient.Closed {
+				return fmt.Errorf("breaker %s", st)
+			}
+			return nil
+		})
 		c.shards = append(c.shards, sc)
 	}
-	c.buildMux()
+	c.HandleQuery("facets", c.handleFacets)
+	c.HandleQuery("docs", c.handleDocs)
+	c.HandleQuery("dates", c.handleDates)
+	c.HandleQuery("cross", c.handleCross)
 	return c, nil
-}
-
-// buildMux wires the coordinator's routes: the public browse API under
-// /api/v1/ (scatter-gather), plus metrics and probes, with the same
-// unified-envelope fallback for unknown routes the single node uses.
-// Every route passes through the robustness stack internal/serve
-// exports — panic recovery, X-Deadline-Budget parsing, and (when a
-// Governor is configured) per-class admission control; probes and
-// metrics are exempt from admission, exactly like the single node.
-func (c *Coordinator) buildMux() {
-	c.httpm = obsv.NewHTTPMetrics(c.cfg.Metrics)
-	c.mux = http.NewServeMux()
-	c.apiRoutes = map[string][]string{}
-	instrument := func(class overload.Class, h http.Handler) http.Handler {
-		h = serve.Admission(c.cfg.Governor, class, h)
-		h = serve.BudgetMiddleware(h)
-		return serve.Recovery(c.cfg.Metrics, h)
-	}
-	fallback := c.httpm.Wrap("api_unmatched", instrument("", http.HandlerFunc(c.handleAPIFallback)))
-	c.mux.Handle("/api/", fallback)
-	c.mux.Handle("/api/v1/", fallback)
-	handle := func(path, route string, class overload.Class, h http.HandlerFunc) {
-		c.mux.Handle(http.MethodGet+" /api/v1/"+path, c.httpm.Wrap(route, instrument(class, h)))
-		c.apiRoutes[path] = append(c.apiRoutes[path], http.MethodGet)
-	}
-	handle("facets", "facets", overload.ClassRead, c.handleFacets)
-	handle("docs", "docs", overload.ClassRead, c.handleDocs)
-	handle("dates", "dates", overload.ClassRead, c.handleDates)
-	handle("cross", "cross", overload.ClassExpensive, c.handleCross)
-	handle("metrics", "metrics", "", func(w http.ResponseWriter, r *http.Request) {
-		serve.WriteJSON(w, c.cfg.Metrics.Snapshot())
-	})
-	handle("healthz", "healthz", "", func(w http.ResponseWriter, r *http.Request) {
-		serve.WriteJSON(w, serve.HealthzResponse{Status: "ok"})
-	})
-	handle("readyz", "readyz", "", c.handleReadyz)
 }
 
 // admitBudget enforces deadline propagation at the cheapest possible
@@ -212,52 +183,6 @@ func (c *Coordinator) admitBudget(w http.ResponseWriter, r *http.Request) bool {
 	serve.WriteShed(w, http.StatusServiceUnavailable, 1,
 		fmt.Errorf("deadline budget spent before fan-out"))
 	return false
-}
-
-// ServeHTTP implements http.Handler.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.mux.ServeHTTP(w, r)
-}
-
-// Metrics returns the coordinator's registry.
-func (c *Coordinator) Metrics() *obsv.Registry { return c.cfg.Metrics }
-
-func (c *Coordinator) handleAPIFallback(w http.ResponseWriter, r *http.Request) {
-	if path, versioned := strings.CutPrefix(strings.TrimPrefix(r.URL.Path, "/api/"), "v1/"); versioned {
-		if methods, ok := c.apiRoutes[path]; ok {
-			allow := append([]string(nil), methods...)
-			sort.Strings(allow)
-			w.Header().Set("Allow", strings.Join(allow, ", "))
-			serve.WriteError(w, http.StatusMethodNotAllowed, serve.ErrCodeMethodNotAllowed,
-				fmt.Errorf("method %s not allowed on %s (allowed: %s)", r.Method, r.URL.Path, strings.Join(allow, ", ")))
-			return
-		}
-	}
-	serve.WriteError(w, http.StatusNotFound, serve.ErrCodeNotFound,
-		fmt.Errorf("unknown API route %s", r.URL.Path))
-}
-
-// handleReadyz reports cluster health: ready while every shard's
-// breaker is closed, 503 naming the tripped shards otherwise. The
-// coordinator still SERVES partial results while degraded — readiness
-// is the operator's signal, not a traffic gate.
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	checks := make(map[string]string, len(c.shards))
-	var failing []string
-	for _, sc := range c.shards {
-		if st := sc.br.State(); st != resilient.Closed {
-			checks[sc.name] = "breaker " + st.String()
-			failing = append(failing, sc.name+": breaker "+st.String())
-		} else {
-			checks[sc.name] = "ok"
-		}
-	}
-	if len(failing) > 0 {
-		serve.WriteError(w, http.StatusServiceUnavailable, serve.ErrCodeNotReady,
-			fmt.Errorf("not ready: %s", strings.Join(failing, "; ")))
-		return
-	}
-	serve.WriteJSON(w, serve.ReadyzResponse{Status: "ready", Checks: checks})
 }
 
 // --- scatter ---
@@ -454,13 +379,26 @@ type CrossResponse struct {
 	Degraded *Degradation `json:"degraded,omitempty"`
 }
 
-// relayOrDecode splits replies into decoded successes and handles the
-// client-error relay: if any shard answered with a non-2xx, non-5xx
-// status (e.g. 400 bad granularity — every shard validates with the
-// same code, so any one speaks for all), the first such reply is
-// relayed to the client verbatim and ok=false is returned. Transport
-// failures were already folded into the degradation report.
-func relayOrDecode[T any](w http.ResponseWriter, replies []shardReply) (decoded []T, ok bool) {
+// gather is the front half every scatter-gather route shares, run on a
+// request the router has already validated exactly as a single node
+// would: shed a spent deadline budget, scatter the client's raw query
+// string to shardPath on every shard, then relay a shard's client error
+// or decode every answer. ok=false means the response is already
+// written; otherwise the route merges parts and writes it, attaching
+// degr.
+func gather[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, shardPath string) (parts []T, degr *Degradation, ok bool) {
+	if !c.admitBudget(w, r) {
+		return nil, nil, false
+	}
+	replies, degr := c.scatter(r.Context(), shardPath+"?"+r.URL.RawQuery)
+	if degr != nil && len(degr.MissingShards) == len(c.shards) {
+		c.allShardsDown(w, degr)
+		return nil, nil, false
+	}
+	// A shard that answered with a non-2xx, non-5xx status (e.g. 400 bad
+	// granularity: every shard validates with the same code, so any one
+	// speaks for all) is relayed verbatim. Transport failures were
+	// already folded into the degradation report.
 	for _, rep := range replies {
 		if rep.err != nil {
 			continue
@@ -469,17 +407,17 @@ func relayOrDecode[T any](w http.ResponseWriter, replies []shardReply) (decoded 
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(rep.status)
 			_, _ = w.Write(rep.body)
-			return nil, false
+			return nil, nil, false
 		}
 		var v T
 		if err := json.Unmarshal(rep.body, &v); err != nil {
 			serve.WriteError(w, http.StatusBadGateway, serve.ErrCodeUnavailable,
 				fmt.Errorf("shard %s: undecodable reply: %v", rep.name, err))
-			return nil, false
+			return nil, nil, false
 		}
-		decoded = append(decoded, v)
+		parts = append(parts, v)
 	}
-	return decoded, true
+	return parts, degr, true
 }
 
 // allShardsDown writes the full-outage error: partial results need at
@@ -493,25 +431,8 @@ func (c *Coordinator) allShardsDown(w http.ResponseWriter, degr *Degradation) {
 		fmt.Errorf("all %d shards unreachable: %s", degr.ShardsTotal, strings.Join(msgs, "; ")))
 }
 
-func (c *Coordinator) handleFacets(w http.ResponseWriter, r *http.Request) {
-	if _, err := serve.ParseSelection(r); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	limit, err := serve.QueryBoundedInt(r, "limit", 100, 1000)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	if !c.admitBudget(w, r) {
-		return
-	}
-	replies, degr := c.scatter(r.Context(), "/api/v1/cluster/facets?"+r.URL.RawQuery)
-	if degr != nil && len(degr.MissingShards) == len(c.shards) {
-		c.allShardsDown(w, degr)
-		return
-	}
-	parts, ok := relayOrDecode[ShardFacets](w, replies)
+func (c *Coordinator) handleFacets(w http.ResponseWriter, r *http.Request, q serve.Query) {
+	parts, degr, ok := gather[ShardFacets](c, w, r, "/api/v1/cluster/facets")
 	if !ok {
 		return
 	}
@@ -534,8 +455,8 @@ func (c *Coordinator) handleFacets(w http.ResponseWriter, r *http.Request) {
 		}
 		return merged[i].Term < merged[j].Term
 	})
-	if len(merged) > limit {
-		merged = merged[:limit]
+	if len(merged) > q.Limit {
+		merged = merged[:q.Limit]
 	}
 	if len(merged) == 0 {
 		merged = nil // single node emits null, not [], for no facets
@@ -543,7 +464,7 @@ func (c *Coordinator) handleFacets(w http.ResponseWriter, r *http.Request) {
 	c.merge.Observe(time.Since(start))
 	serve.WriteJSON(w, FacetsResponse{
 		FacetsResponse: serve.FacetsResponse{
-			Parent: r.URL.Query().Get("parent"),
+			Parent: q.Parent,
 			Total:  total,
 			Facets: merged,
 		},
@@ -551,25 +472,8 @@ func (c *Coordinator) handleFacets(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (c *Coordinator) handleDocs(w http.ResponseWriter, r *http.Request) {
-	if _, err := serve.ParseSelection(r); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	limit, err := serve.QueryBoundedInt(r, "limit", 20, 500)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	if !c.admitBudget(w, r) {
-		return
-	}
-	replies, degr := c.scatter(r.Context(), "/api/v1/cluster/docs?"+r.URL.RawQuery)
-	if degr != nil && len(degr.MissingShards) == len(c.shards) {
-		c.allShardsDown(w, degr)
-		return
-	}
-	parts, ok := relayOrDecode[ShardDocs](w, replies)
+func (c *Coordinator) handleDocs(w http.ResponseWriter, r *http.Request, q serve.Query) {
+	parts, degr, ok := gather[ShardDocs](c, w, r, "/api/v1/cluster/docs")
 	if !ok {
 		return
 	}
@@ -583,35 +487,25 @@ func (c *Coordinator) handleDocs(w http.ResponseWriter, r *http.Request) {
 	// Shards return ascending global ids over disjoint id sets, so the
 	// global first `limit` ids are contained in the concatenation.
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-	if len(docs) > limit {
-		docs = docs[:limit]
+	if len(docs) > q.Limit {
+		docs = docs[:q.Limit]
 	}
 	resp.Docs = docs
 	c.merge.Observe(time.Since(start))
 	serve.WriteJSON(w, resp)
 }
 
-func (c *Coordinator) handleDates(w http.ResponseWriter, r *http.Request) {
-	if _, err := serve.ParseSelection(r); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	if !c.admitBudget(w, r) {
-		return
-	}
-	replies, degr := c.scatter(r.Context(), "/api/v1/cluster/dates?"+r.URL.RawQuery)
-	if degr != nil && len(degr.MissingShards) == len(c.shards) {
-		c.allShardsDown(w, degr)
-		return
-	}
-	parts, ok := relayOrDecode[ShardDates](w, replies)
+// handleDates merges the shards' own public /dates answers: each is
+// the histogram over that shard's slice.
+func (c *Coordinator) handleDates(w http.ResponseWriter, r *http.Request, _ serve.Query) {
+	parts, degr, ok := gather[[]serve.DateBucket](c, w, r, "/api/v1/dates")
 	if !ok {
 		return
 	}
 	start := time.Now()
 	counts := map[string]int{}
 	for _, p := range parts {
-		for _, b := range p.Buckets {
+		for _, b := range p {
 			counts[b.Bucket] += b.Count
 		}
 	}
@@ -630,24 +524,11 @@ func (c *Coordinator) handleDates(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, DatesResponse{Buckets: merged, Degraded: degr})
 }
 
-func (c *Coordinator) handleCross(w http.ResponseWriter, r *http.Request) {
-	if _, err := serve.ParseSelection(r); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	if r.URL.Query().Get("a") == "" || r.URL.Query().Get("b") == "" {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, errNeedAB)
-		return
-	}
-	if !c.admitBudget(w, r) {
-		return
-	}
-	replies, degr := c.scatter(r.Context(), "/api/v1/cluster/cross?"+r.URL.RawQuery)
-	if degr != nil && len(degr.MissingShards) == len(c.shards) {
-		c.allShardsDown(w, degr)
-		return
-	}
-	parts, ok := relayOrDecode[ShardCross](w, replies)
+// handleCross sums the shards' own public /cross answers. Row and
+// column terms come from the shared hierarchy, so every shard reports
+// the same axes and the cells sum.
+func (c *Coordinator) handleCross(w http.ResponseWriter, r *http.Request, _ serve.Query) {
+	parts, degr, ok := gather[browse.CrossTab](c, w, r, "/api/v1/cross")
 	if !ok {
 		return
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/browse"
 	"repro/internal/hierarchy"
+	"repro/internal/overload"
 	"repro/internal/resilient"
 	"repro/internal/serve"
 	"repro/internal/textdb"
@@ -179,24 +181,82 @@ func differentialURLs() []string {
 
 // TestDifferentialCoordinatorVsSingleNode is the tentpole proof: a
 // 3-shard scatter-gather topology answers every request byte-identically
-// to one node serving the whole corpus — status and body, success and
-// error, cold and cached (each URL is fetched twice; the second hit
-// exercises the shards' query caches).
+// to one node serving the whole corpus — status, body and Allow header,
+// success and error, cold and cached (each request is sent twice; the
+// second hit exercises the shards' query caches). Beyond the GET query
+// strings it holds the routing and middleware paths to the node's: a
+// wrong method, a removed alias, a probe and a malformed deadline budget.
 func TestDifferentialCoordinatorVsSingleNode(t *testing.T) {
 	iface := clusterFixture(t, 48)
 	topo := buildTopology(t, iface, Config{Timeout: 10 * time.Second})
+	type request struct{ method, url, budget string }
+	requests := []request{
+		{http.MethodPost, "/api/v1/facets", ""}, // 405 with Allow
+		{http.MethodGet, "/api/facets", ""},     // removed alias: 404
+		{http.MethodGet, "/api/v1/healthz", ""},
+		{http.MethodGet, "/api/v1/facets", "bogus"}, // malformed X-Deadline-Budget: 400
+	}
 	for _, url := range differentialURLs() {
+		requests = append(requests, request{http.MethodGet, url, ""})
+	}
+	send := func(base string, rq request) (int, string, []byte) {
+		req, err := http.NewRequest(rq.method, base+rq.url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rq.budget != "" {
+			req.Header.Set(overload.BudgetHeader, rq.budget)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", rq.method, rq.url, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Allow"), body
+	}
+	for _, rq := range requests {
 		for pass := 0; pass < 2; pass++ {
-			wantStatus, wantBody := fetchBytes(t, topo.single.URL, url)
-			gotStatus, gotBody := fetchBytes(t, topo.coordSrv.URL, url)
-			if gotStatus != wantStatus {
-				t.Errorf("%s (pass %d): status %d, single node %d", url, pass, gotStatus, wantStatus)
+			wantStatus, wantAllow, wantBody := send(topo.single.URL, rq)
+			gotStatus, gotAllow, gotBody := send(topo.coordSrv.URL, rq)
+			if gotStatus != wantStatus || gotAllow != wantAllow {
+				t.Errorf("%s %s (pass %d): status %d Allow %q, single node %d Allow %q",
+					rq.method, rq.url, pass, gotStatus, gotAllow, wantStatus, wantAllow)
 				continue
 			}
 			if string(gotBody) != string(wantBody) {
-				t.Errorf("%s (pass %d): body diverges\ncoordinator: %s\nsingle node: %s",
-					url, pass, gotBody, wantBody)
+				t.Errorf("%s %s (pass %d): body diverges\ncoordinator: %s\nsingle node: %s",
+					rq.method, rq.url, pass, gotBody, wantBody)
 			}
+		}
+	}
+}
+
+// TestCoordinatorAccessLog: a coordinator with an access-log writer
+// logs one JSON line per request, as a node does.
+func TestCoordinatorAccessLog(t *testing.T) {
+	topo := buildTopology(t, clusterFixture(t, 24), Config{Timeout: 10 * time.Second})
+	var buf bytes.Buffer
+	topo.coord.SetAccessLog(&buf)
+	urls := []string{"/api/v1/facets", "/api/v1/docs?limit=2", "/api/v1/healthz", "/api/v1/nope"}
+	for _, url := range urls {
+		topo.coord.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, url, nil))
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(urls) {
+		t.Fatalf("%d access-log lines for %d requests:\n%s", len(lines), len(urls), buf.String())
+	}
+	for i, line := range lines {
+		var rec struct {
+			Path   string `json:"path"`
+			Status int    `json:"status"`
+		}
+		path, _, _ := strings.Cut(urls[i], "?")
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Path != path || rec.Status == 0 {
+			t.Errorf("line %d %q: want a JSON record for %s (%v)", i, line, path, err)
 		}
 	}
 }

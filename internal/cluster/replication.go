@@ -101,7 +101,7 @@ func (s *Shipper) Epoch() (uint64, bool) {
 // replica is already current, 503 before the first publish. Like
 // EnableIngest, Register must run before traffic starts.
 func (s *Shipper) Register(srv *serve.Server) {
-	srv.Handle(http.MethodGet, "cluster/snapshot", "cluster_snapshot", s.handleSnapshot)
+	srv.Handle(http.MethodGet, "cluster/snapshot", s.handleSnapshot)
 }
 
 func (s *Shipper) handleSnapshot(w http.ResponseWriter, r *http.Request) {

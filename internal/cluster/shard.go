@@ -65,19 +65,17 @@ func (sh *Shard) Len() int { return len(sh.global) }
 //
 //	GET /api/v1/cluster/facets  — children counts over the local slice
 //	GET /api/v1/cluster/docs    — matching docs with GLOBAL ids
-//	GET /api/v1/cluster/dates   — date histogram over the local slice
-//	GET /api/v1/cluster/cross   — cross-tab cells over the local slice
 //
 // They accept exactly the public routes' query parameters (the
 // coordinator forwards the client's raw query string verbatim) and
 // answer in the same JSON envelope, so a shard is operable with curl
-// like any other node. Like EnableIngest, Register must run before the
-// server starts handling traffic.
+// like any other node. Dates and cross-tabulations need neither of the
+// two twists these endpoints add, so the coordinator scatters those to
+// the shard's public /dates and /cross. Like EnableIngest, Register
+// must run before the server starts handling traffic.
 func (sh *Shard) Register(srv *serve.Server) {
-	srv.Handle(http.MethodGet, "cluster/facets", "cluster_facets", sh.handleFacets)
-	srv.Handle(http.MethodGet, "cluster/docs", "cluster_docs", sh.handleDocs)
-	srv.Handle(http.MethodGet, "cluster/dates", "cluster_dates", sh.handleDates)
-	srv.Handle(http.MethodGet, "cluster/cross", "cluster_cross", sh.handleCross)
+	srv.HandleQuery("cluster/facets", sh.handleFacets)
+	srv.HandleQuery("cluster/docs", sh.handleDocs)
 }
 
 // ShardFacets is the GET /api/v1/cluster/facets payload: the shard's
@@ -85,22 +83,14 @@ func (sh *Shard) Register(srv *serve.Server) {
 // applied — truncation is only correct after the coordinator has summed
 // counts across shards.
 type ShardFacets struct {
-	Epoch  uint64              `json:"epoch"`
 	Total  int                 `json:"total"`
 	Facets []browse.FacetCount `json:"facets"`
 }
 
-func (sh *Shard) handleFacets(w http.ResponseWriter, r *http.Request) {
-	sel, err := serve.ParseSelection(r)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	parent := r.URL.Query().Get("parent")
+func (sh *Shard) handleFacets(w http.ResponseWriter, _ *http.Request, q serve.Query) {
 	serve.WriteJSON(w, ShardFacets{
-		Epoch:  sh.iface.Epoch(),
-		Total:  sh.iface.MatchCount(sel),
-		Facets: sh.iface.Children(parent, sel),
+		Total:  sh.iface.MatchCount(q.Sel),
+		Facets: sh.iface.Children(q.Parent, q.Sel),
 	})
 }
 
@@ -110,100 +100,17 @@ func (sh *Shard) handleFacets(w http.ResponseWriter, r *http.Request) {
 // rendered shard-side, where the document text lives; the coordinator
 // only merges and truncates.
 type ShardDocs struct {
-	Epoch uint64             `json:"epoch"`
 	Total int                `json:"total"`
 	Docs  []serve.DocSummary `json:"docs"`
 }
 
-func (sh *Shard) handleDocs(w http.ResponseWriter, r *http.Request) {
-	sel, err := serve.ParseSelection(r)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	limit, err := serve.QueryBoundedInt(r, "limit", 20, 500)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	ids := sh.iface.Docs(sel)
-	resp := ShardDocs{Epoch: sh.iface.Epoch(), Total: len(ids)}
-	for i, id := range ids {
-		if i >= limit {
-			break
-		}
-		doc := sh.iface.Corpus().Doc(id)
-		resp.Docs = append(resp.Docs, serve.DocSummary{
-			ID:      int(sh.global[id]),
-			Title:   doc.Title,
-			Source:  doc.Source,
-			Date:    doc.Date.Format("2006-01-02"),
-			Snippet: textdb.Snippet(doc, sel.Query, 24),
-		})
-	}
-	serve.WriteJSON(w, resp)
-}
-
-// ShardDates is the GET /api/v1/cluster/dates payload: the shard's
-// date histogram under the selection, buckets ascending.
-type ShardDates struct {
-	Epoch   uint64             `json:"epoch"`
-	Buckets []serve.DateBucket `json:"buckets"`
-}
-
-func (sh *Shard) handleDates(w http.ResponseWriter, r *http.Request) {
-	sel, err := serve.ParseSelection(r)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	gran := r.URL.Query().Get("granularity")
-	if gran == "" {
-		gran = "day"
-	}
-	hist, err := sh.iface.DateHistogram(sel, gran)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	resp := ShardDates{Epoch: sh.iface.Epoch(), Buckets: make([]serve.DateBucket, len(hist))}
-	for i, h := range hist {
-		resp.Buckets[i] = serve.DateBucket{Bucket: h.Bucket.Format("2006-01-02"), Count: h.Count}
-	}
-	serve.WriteJSON(w, resp)
-}
-
-// ShardCross is the GET /api/v1/cluster/cross payload: the shard's
-// cross-tabulation cells. Row and column terms come from the shared
-// hierarchy, so every shard reports the same axes and cells sum.
-type ShardCross struct {
-	Epoch    uint64   `json:"epoch"`
-	RowTerms []string `json:"row_terms"`
-	ColTerms []string `json:"col_terms"`
-	Cells    [][]int  `json:"cells"`
-}
-
-func (sh *Shard) handleCross(w http.ResponseWriter, r *http.Request) {
-	sel, err := serve.ParseSelection(r)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	if a == "" || b == "" {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest,
-			errNeedAB)
-		return
-	}
-	ct, err := sh.iface.Cross(a, b, sel)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, err)
-		return
-	}
-	serve.WriteJSON(w, ShardCross{
-		Epoch:    sh.iface.Epoch(),
-		RowTerms: ct.RowTerms,
-		ColTerms: ct.ColTerms,
-		Cells:    ct.Cells,
+func (sh *Shard) handleDocs(w http.ResponseWriter, _ *http.Request, q serve.Query) {
+	ids := sh.iface.Docs(q.Sel)
+	serve.WriteJSON(w, ShardDocs{
+		Total: len(ids),
+		Docs:  serve.Summaries(sh.iface, ids, q.Limit, q.Sel.Query, sh.globalID),
 	})
 }
+
+// globalID maps a shard-local document id to its corpus-wide id.
+func (sh *Shard) globalID(d textdb.DocID) int { return int(sh.global[d]) }

@@ -23,7 +23,7 @@ func TestHealthz(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz = %d", rec.Code)
 	}
-	var resp HealthzResponse
+	var resp healthzResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Status != "ok" {
 		t.Fatalf("healthz body = %s (%v)", rec.Body.String(), err)
 	}

@@ -14,49 +14,6 @@ import (
 	"repro/internal/overload"
 )
 
-// WithOverload enables adaptive admission control: every non-exempt
-// route acquires a slot in the governor's limiter for its class before
-// running, and is shed with a 429/503 + Retry-After (error code
-// "overloaded") when the class is saturated. Probes (healthz, readyz)
-// and metrics are exempt — an overloaded server must still be
-// observable, and transient shedding must not flip readiness.
-func WithOverload(gov *overload.Governor) Option {
-	return func(s *Server) { s.gov = gov }
-}
-
-// Overload returns the governor admission control runs under (nil when
-// disabled); cluster roles mounted on the same server reuse it so shard
-// endpoints share the node's capacity accounting.
-func (s *Server) Overload() *overload.Governor { return s.gov }
-
-// classForRoute maps a route label to its admission class. The empty
-// class means exempt: probes and metrics must answer precisely when the
-// server is drowning, and the API fallback only writes 404s.
-func classForRoute(route string) overload.Class {
-	switch route {
-	case "metrics", "healthz", "readyz", "api_unmatched":
-		return ""
-	case "cross", "cluster_cross":
-		return overload.ClassExpensive
-	case "ingest", "ingest_retry":
-		return overload.ClassWrite
-	default:
-		return overload.ClassRead
-	}
-}
-
-// instrument stacks the robustness middleware under the metrics
-// wrapper: panic recovery outermost (a panic anywhere below becomes a
-// 500 envelope instead of a killed connection), then deadline-budget
-// parsing (so admission and the handler both see the caller's
-// deadline), then admission control.
-func (s *Server) instrument(route string, h http.Handler) http.Handler {
-	h = Admission(s.gov, classForRoute(route), h)
-	h = BudgetMiddleware(h)
-	h = Recovery(s.metrics, h)
-	return h
-}
-
 // Stable machine-readable error codes added by the overload layer.
 const (
 	// ErrCodeOverloaded marks a request shed by admission control or a
@@ -79,28 +36,27 @@ func WriteShed(w http.ResponseWriter, status, retryAfterSeconds int, err error) 
 	WriteError(w, status, ErrCodeOverloaded, err)
 }
 
-// ShedStatus returns the HTTP status a shed request of the given class
+// shedStatus returns the HTTP status a shed request of the given class
 // answers with.
-func ShedStatus(class overload.Class) int {
+func shedStatus(class overload.Class) int {
 	if class == overload.ClassWrite {
 		return http.StatusTooManyRequests
 	}
 	return http.StatusServiceUnavailable
 }
 
-// Admission wraps next with the governor's admission control for one
+// admission wraps next with the governor's admission control for one
 // class. A nil governor or empty class is a no-op. The handler's
 // observed service time is the latency sample driving the class's AIMD
-// limit. Exported so the cluster coordinator applies the same policy to
-// its scatter-gather routes.
-func Admission(gov *overload.Governor, class overload.Class, next http.Handler) http.Handler {
+// limit.
+func admission(gov *overload.Governor, class overload.Class, next http.Handler) http.Handler {
 	if gov == nil || class == "" {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		release, err := gov.Acquire(r.Context(), class)
 		if err != nil {
-			WriteShed(w, ShedStatus(class), gov.RetryAfterSeconds(class), err)
+			WriteShed(w, shedStatus(class), gov.RetryAfterSeconds(class), err)
 			return
 		}
 		start := time.Now()
@@ -109,13 +65,12 @@ func Admission(gov *overload.Governor, class overload.Class, next http.Handler) 
 	})
 }
 
-// BudgetMiddleware parses the X-Deadline-Budget request header into a
+// budgetMiddleware parses the X-Deadline-Budget request header into a
 // context deadline, so every layer below — admission queues, ingest
 // submission, coordinator fan-out — inherits the caller's remaining
 // latency budget. A malformed budget is a 400; an absent one changes
-// nothing. Exported so the cluster coordinator (its own mux) applies
-// the identical semantics.
-func BudgetMiddleware(next http.Handler) http.Handler {
+// nothing.
+func budgetMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		raw := r.Header.Get(overload.BudgetHeader)
 		if raw == "" {
@@ -145,12 +100,12 @@ func RemainingBudget(ctx context.Context) (time.Duration, bool) {
 	return time.Until(dl), true
 }
 
-// Recovery wraps next with a panic recovery barrier: the stack is
+// recovery wraps next with a panic recovery barrier: the stack is
 // logged, the http.panics counter incremented, and the client gets a
 // 500 with the unified envelope instead of a severed connection. It
 // sits inside the metrics wrapper, so the 500 still lands in the
 // route's status counters.
-func Recovery(reg *obsv.Registry, next http.Handler) http.Handler {
+func recovery(reg *obsv.Registry, next http.Handler) http.Handler {
 	var panics *obsv.Counter
 	if reg != nil {
 		panics = reg.Counter("http.panics")

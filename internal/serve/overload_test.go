@@ -92,8 +92,8 @@ func TestShedPaths(t *testing.T) {
 			if er := decodeEnvelope(t, rec); er.Error.Code != ErrCodeOverloaded || er.Error.Message == "" {
 				t.Errorf("envelope %+v, want code %q", er, ErrCodeOverloaded)
 			}
-			if ShedStatus(tc.class) != tc.wantStatus {
-				t.Errorf("ShedStatus(%s) = %d, want %d", tc.class, ShedStatus(tc.class), tc.wantStatus)
+			if shedStatus(tc.class) != tc.wantStatus {
+				t.Errorf("shedStatus(%s) = %d, want %d", tc.class, shedStatus(tc.class), tc.wantStatus)
 			}
 		})
 	}
@@ -137,7 +137,7 @@ func TestShedReleaseRestoresService(t *testing.T) {
 func TestPanicRecovery(t *testing.T) {
 	reg := obsv.NewRegistry()
 	s := testServer(t, WithMetrics(reg))
-	s.Handle("GET", "boom", "boom", func(http.ResponseWriter, *http.Request) {
+	s.Handle("GET", "boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
 	rec := get(t, s, "/api/v1/boom")

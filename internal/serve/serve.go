@@ -24,18 +24,14 @@ import (
 	"errors"
 	"fmt"
 	"html/template"
-	"io"
 	"net/http"
-	"net/http/pprof"
-	"sort"
-	"strconv"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/browse"
 	"repro/internal/ingest"
-	"repro/internal/obsv"
 	"repro/internal/overload"
 	"repro/internal/textdb"
 )
@@ -46,169 +42,23 @@ import (
 // once and serves that complete, immutable epoch — concurrent swaps can
 // never produce a torn read mixing counts from two hierarchies.
 type Server struct {
-	iface     atomic.Pointer[browse.Interface]
-	mux       *http.ServeMux
-	title     string
-	metrics   *obsv.Registry
-	httpm     *obsv.HTTPMetrics
-	accessLog io.Writer
-
-	// gov, when set (WithOverload), applies per-class adaptive admission
-	// control to every non-exempt route; nil serves unthrottled.
-	gov *overload.Governor
-
-	// readiness checks gate /api/v1/readyz; registered before traffic
-	// starts (AddReadiness), each is typically a resilience wrapper's
-	// breaker-backed Ready method.
-	readiness []readinessCheck
-
-	// apiRoutes maps each registered API path (relative, e.g. "facets")
-	// to its allowed methods, so the fallback handler can distinguish a
-	// wrong method (405 + Allow) from an unknown route (404). Mutated only
-	// during registration, before traffic starts.
-	apiRoutes map[string][]string
-}
-
-type readinessCheck struct {
-	name  string
-	check func() error
-}
-
-// Option configures a Server at construction.
-type Option func(*Server)
-
-// WithMetrics records into an externally owned registry, so the HTTP
-// layer, the ingester, and the segment store can share one snapshot.
-// Without it the server allocates a private registry.
-func WithMetrics(reg *obsv.Registry) Option {
-	return func(s *Server) { s.metrics = reg }
-}
-
-// WithAccessLog writes one structured (JSON) line per request to w.
-func WithAccessLog(w io.Writer) Option {
-	return func(s *Server) { s.accessLog = w }
+	*Router
+	iface atomic.Pointer[browse.Interface]
+	title string
 }
 
 // New builds the server over an initial interface.
 func New(iface *browse.Interface, title string, opts ...Option) *Server {
-	s := &Server{title: title}
+	s := &Server{Router: NewRouter(opts...), title: title}
 	s.iface.Store(iface)
-	for _, opt := range opts {
-		opt(s)
-	}
-	if s.metrics == nil {
-		s.metrics = obsv.NewRegistry()
-	}
-	s.httpm = obsv.NewHTTPMetrics(s.metrics)
-	if s.accessLog != nil {
-		s.httpm.SetAccessLog(s.accessLog)
-	}
-	s.mux = http.NewServeMux()
-	s.apiRoutes = map[string][]string{}
-	// Method-less catch-alls under both API prefixes: they lose to every
-	// registered method+path pattern (more specific wins), so they see
-	// exactly the requests no real route claims — unknown paths and wrong
-	// methods on known paths — and answer with the unified error envelope
-	// instead of the mux's plain-text defaults.
-	fallback := s.httpm.Wrap("api_unmatched", s.instrument("api_unmatched", http.HandlerFunc(s.handleAPIFallback)))
-	s.mux.Handle("/api/", fallback)
-	s.mux.Handle("/api/v1/", fallback)
-	s.Handle(http.MethodGet, "facets", "facets", s.handleFacets)
-	s.Handle(http.MethodGet, "docs", "docs", s.handleDocs)
-	s.Handle(http.MethodGet, "dates", "dates", s.handleDates)
-	s.Handle(http.MethodGet, "cross", "cross", s.handleCross)
-	s.Handle(http.MethodGet, "metrics", "metrics", s.handleMetrics)
-	s.Handle(http.MethodGet, "healthz", "healthz", s.handleHealthz)
-	s.Handle(http.MethodGet, "readyz", "readyz", s.handleReadyz)
+	s.HandleQuery("facets", s.handleFacets)
+	s.HandleQuery("docs", s.handleDocs)
+	s.HandleQuery("dates", s.handleDates)
+	s.HandleQuery("cross", s.handleCross)
 	// Method-less like the API fallbacks (a "GET /" pattern would conflict
 	// with them under the mux's precedence rules); handleIndex enforces GET.
-	s.mux.Handle("/", s.httpm.Wrap("index", s.instrument("index", http.HandlerFunc(s.handleIndex))))
+	s.mux.Handle("/", s.wrap("index", http.HandlerFunc(s.handleIndex)))
 	return s
-}
-
-// AddReadiness registers a named readiness check consulted by GET
-// /api/v1/readyz — typically a resilient wrapper's Ready method, so the
-// probe reflects circuit-breaker state: the endpoint answers 503 while
-// any dependency's breaker is open (or probing half-open) and recovers
-// the moment its probes close it. Like EnableIngest, registration must
-// happen before the server starts handling traffic.
-func (s *Server) AddReadiness(name string, check func() error) {
-	s.readiness = append(s.readiness, readinessCheck{name: name, check: check})
-}
-
-// HealthzResponse is the GET /api/v1/healthz payload.
-type HealthzResponse struct {
-	Status string `json:"status"`
-}
-
-// handleHealthz is the liveness probe: the process is up and serving;
-// it deliberately checks nothing else.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, HealthzResponse{Status: "ok"})
-}
-
-// ReadyzResponse is the 200 GET /api/v1/readyz payload; failures use
-// the unified error envelope with code "not_ready" instead.
-type ReadyzResponse struct {
-	Status string            `json:"status"`
-	Checks map[string]string `json:"checks,omitempty"`
-}
-
-// handleReadyz is the readiness probe: 200 while every registered
-// dependency check passes, 503 (unified envelope, code not_ready) with
-// the failing checks named otherwise.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	checks := make(map[string]string, len(s.readiness))
-	var failing []string
-	for _, rc := range s.readiness {
-		if err := rc.check(); err != nil {
-			checks[rc.name] = err.Error()
-			failing = append(failing, rc.name+": "+err.Error())
-		} else {
-			checks[rc.name] = "ok"
-		}
-	}
-	if len(failing) > 0 {
-		WriteError(w, http.StatusServiceUnavailable, ErrCodeNotReady,
-			fmt.Errorf("not ready: %s", strings.Join(failing, "; ")))
-		return
-	}
-	WriteJSON(w, ReadyzResponse{Status: "ready", Checks: checks})
-}
-
-// Handle registers one API route at its canonical versioned path
-// /api/v1/<path>. (The unversioned /api/<path> aliases from the v1
-// migration are gone; they now fall through to the 404 envelope.) It is
-// exported so sibling subsystems (internal/cluster's shard and leader
-// endpoints) can mount additional routes on the same server, inheriting
-// the fallback 404/405 envelope and per-route metrics; like
-// EnableIngest, registration must happen before traffic starts.
-func (s *Server) Handle(method, path, route string, h http.HandlerFunc) {
-	wrapped := s.httpm.Wrap(route, s.instrument(route, h))
-	s.mux.Handle(method+" /api/v1/"+path, wrapped)
-	s.apiRoutes[path] = append(s.apiRoutes[path], method)
-}
-
-// handleAPIFallback answers every /api/ request no registered route
-// claims. A known versioned path hit with the wrong method gets 405 with
-// an Allow header; anything else — including the removed unversioned
-// /api/<path> aliases — gets 404. Both use the unified envelope — before
-// this handler existed, these cases leaked net/http's plain-text "404
-// page not found" / "Method Not Allowed" bodies, the one place the API
-// broke its own error contract.
-func (s *Server) handleAPIFallback(w http.ResponseWriter, r *http.Request) {
-	if path, versioned := strings.CutPrefix(strings.TrimPrefix(r.URL.Path, "/api/"), "v1/"); versioned {
-		if methods, ok := s.apiRoutes[path]; ok {
-			allow := append([]string(nil), methods...)
-			sort.Strings(allow)
-			w.Header().Set("Allow", strings.Join(allow, ", "))
-			WriteError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed,
-				fmt.Errorf("method %s not allowed on %s (allowed: %s)", r.Method, r.URL.Path, strings.Join(allow, ", ")))
-			return
-		}
-	}
-	WriteError(w, http.StatusNotFound, ErrCodeNotFound,
-		fmt.Errorf("unknown API route %s", r.URL.Path))
 }
 
 // Publish atomically swaps the served browsing interface; in-flight
@@ -223,14 +73,6 @@ func (s *Server) current() *browse.Interface {
 	return s.iface.Load()
 }
 
-// Metrics returns the server's registry so other subsystems (ingester,
-// segment store) can record into the same /api/v1/metrics snapshot.
-func (s *Server) Metrics() *obsv.Registry { return s.metrics }
-
-// SetAccessLog starts (w != nil) or stops (w == nil) the structured
-// access log; safe while serving traffic.
-func (s *Server) SetAccessLog(w io.Writer) { s.httpm.SetAccessLog(w) }
-
 // EnableIngest registers the live-ingestion endpoints — POST
 // /api/v1/ingest (accept documents), GET /api/v1/ingest/stats
 // (subsystem health), GET /api/v1/ingest/deadletter (documents whose
@@ -240,17 +82,17 @@ func (s *Server) SetAccessLog(w io.Writer) { s.httpm.SetAccessLog(w) }
 // before the server starts handling traffic.
 func (s *Server) EnableIngest(ing *ingest.Ingester) {
 	ing.RegisterMetrics(s.metrics)
-	s.Handle(http.MethodPost, "ingest", "ingest", func(w http.ResponseWriter, r *http.Request) {
+	s.Handle(http.MethodPost, "ingest", func(w http.ResponseWriter, r *http.Request) {
 		s.handleIngest(w, r, ing)
 	})
-	s.Handle(http.MethodGet, "ingest/stats", "ingest_stats", func(w http.ResponseWriter, r *http.Request) {
+	s.Handle(http.MethodGet, "ingest/stats", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, ing.Stats())
 	})
-	s.Handle(http.MethodGet, "ingest/deadletter", "ingest_deadletter", func(w http.ResponseWriter, r *http.Request) {
+	s.Handle(http.MethodGet, "ingest/deadletter", func(w http.ResponseWriter, r *http.Request) {
 		dls := ing.DeadLetters()
 		WriteJSON(w, DeadLetterResponse{Total: len(dls), DeadLetters: dls})
 	})
-	s.Handle(http.MethodPost, "ingest/retry", "ingest_retry", func(w http.ResponseWriter, r *http.Request) {
+	s.Handle(http.MethodPost, "ingest/retry", func(w http.ResponseWriter, r *http.Request) {
 		admitted, err := ing.RetryDeadLetters(r.Context())
 		if err != nil {
 			WriteError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
@@ -274,64 +116,6 @@ type RetryResponse struct {
 	// the queue.
 	Admitted  int `json:"admitted"`
 	Remaining int `json:"remaining"`
-}
-
-// EnablePprof mounts the standard runtime profiling handlers under
-// /debug/pprof/ (facetserve gates this behind -pprof: profiling
-// endpoints leak implementation detail and cost CPU, so production
-// deployments opt in explicitly).
-func (s *Server) EnablePprof() {
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-// parseDate accepts RFC 3339 or YYYY-MM-DD; empty means the zero time.
-// It is the single date parser for both selection query parameters and
-// ingest payloads.
-func parseDate(raw string) (time.Time, error) {
-	if raw == "" {
-		return time.Time{}, nil
-	}
-	if t, err := time.Parse(time.RFC3339, raw); err == nil {
-		return t, nil
-	}
-	t, err := time.Parse("2006-01-02", raw)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("bad date %q (want RFC3339 or YYYY-MM-DD)", raw)
-	}
-	return t, nil
-}
-
-// ParseSelection parses the shared selection query parameters: terms
-// (comma separated), q, from, to (RFC 3339 dates or YYYY-MM-DD). The
-// cluster coordinator reuses it so single-node and scatter-gather
-// serving validate requests identically.
-func ParseSelection(r *http.Request) (browse.Selection, error) {
-	sel := browse.Selection{Query: r.URL.Query().Get("q")}
-	if raw := r.URL.Query().Get("terms"); raw != "" {
-		for _, t := range strings.Split(raw, ",") {
-			t = strings.TrimSpace(t)
-			if t != "" {
-				sel.Terms = append(sel.Terms, t)
-			}
-		}
-	}
-	var err error
-	if sel.From, err = parseDate(r.URL.Query().Get("from")); err != nil {
-		return sel, fmt.Errorf("from: %w", err)
-	}
-	if sel.To, err = parseDate(r.URL.Query().Get("to")); err != nil {
-		return sel, fmt.Errorf("to: %w", err)
-	}
-	return sel, nil
 }
 
 // WriteJSON writes v as the API's canonical two-space-indented JSON;
@@ -381,22 +165,6 @@ func badRequest(w http.ResponseWriter, err error) {
 	WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 }
 
-// QueryBoundedInt validates an optional positive bounded integer query
-// parameter; strconv.Atoi alone would admit negative, zero, and
-// overflowing values that misbehave downstream. It is shared by every
-// handler with a count-like parameter (docs and facets limits).
-func QueryBoundedInt(r *http.Request, name string, def, max int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 1 || v > max {
-		return 0, fmt.Errorf("bad %s %q (want 1..%d)", name, raw, max)
-	}
-	return v, nil
-}
-
 // FacetsResponse is the /api/v1/facets payload.
 type FacetsResponse struct {
 	Parent string              `json:"parent"`
@@ -404,32 +172,17 @@ type FacetsResponse struct {
 	Facets []browse.FacetCount `json:"facets"`
 }
 
-func (s *Server) handleFacets(w http.ResponseWriter, r *http.Request) {
-	sel, err := ParseSelection(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	limit, err := QueryBoundedInt(r, "limit", 100, 1000)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
+func (s *Server) handleFacets(w http.ResponseWriter, _ *http.Request, q Query) {
 	iface := s.current()
-	parent := r.URL.Query().Get("parent")
-	facets := iface.Children(parent, sel)
-	if len(facets) > limit {
-		facets = facets[:limit]
+	facets := iface.Children(q.Parent, q.Sel)
+	if len(facets) > q.Limit {
+		facets = facets[:q.Limit]
 	}
 	WriteJSON(w, FacetsResponse{
-		Parent: parent,
-		Total:  iface.MatchCount(sel),
+		Parent: q.Parent,
+		Total:  iface.MatchCount(q.Sel),
 		Facets: facets,
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, s.metrics.Snapshot())
 }
 
 // DocSummary is one document in the /api/v1/docs payload.
@@ -447,35 +200,18 @@ type DocsResponse struct {
 	Docs  []DocSummary `json:"docs"`
 }
 
-func (s *Server) handleDocs(w http.ResponseWriter, r *http.Request) {
-	sel, err := ParseSelection(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	limit, err := QueryBoundedInt(r, "limit", 20, 500)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
+func (s *Server) handleDocs(w http.ResponseWriter, _ *http.Request, q Query) {
 	iface := s.current()
-	ids := iface.Docs(sel)
-	resp := DocsResponse{Total: len(ids)}
-	for i, id := range ids {
-		if i >= limit {
-			break
-		}
-		doc := iface.Corpus().Doc(id)
-		resp.Docs = append(resp.Docs, DocSummary{
-			ID:      int(id),
-			Title:   doc.Title,
-			Source:  doc.Source,
-			Date:    doc.Date.Format("2006-01-02"),
-			Snippet: textdb.Snippet(doc, sel.Query, 24),
-		})
-	}
-	WriteJSON(w, resp)
+	ids := iface.Docs(q.Sel)
+	WriteJSON(w, DocsResponse{
+		Total: len(ids),
+		Docs:  Summaries(iface, ids, q.Limit, q.Sel.Query, localID),
+	})
 }
+
+// localID is the identity document-id mapping of a node serving the
+// whole corpus.
+func localID(d textdb.DocID) int { return int(d) }
 
 // DateBucket is one histogram bucket in the /api/v1/dates payload.
 type DateBucket struct {
@@ -483,17 +219,8 @@ type DateBucket struct {
 	Count  int    `json:"count"`
 }
 
-func (s *Server) handleDates(w http.ResponseWriter, r *http.Request) {
-	sel, err := ParseSelection(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	gran := r.URL.Query().Get("granularity")
-	if gran == "" {
-		gran = "day"
-	}
-	hist, err := s.current().DateHistogram(sel, gran)
+func (s *Server) handleDates(w http.ResponseWriter, _ *http.Request, q Query) {
+	hist, err := s.current().DateHistogram(q.Sel, q.Granularity)
 	if err != nil {
 		badRequest(w, err)
 		return
@@ -505,18 +232,8 @@ func (s *Server) handleDates(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, out)
 }
 
-func (s *Server) handleCross(w http.ResponseWriter, r *http.Request) {
-	sel, err := ParseSelection(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
-	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	if a == "" || b == "" {
-		badRequest(w, fmt.Errorf("need a and b facet parameters"))
-		return
-	}
-	ct, err := s.current().Cross(a, b, sel)
+func (s *Server) handleCross(w http.ResponseWriter, _ *http.Request, q Query) {
+	ct, err := s.current().Cross(q.A, q.B, q.Sel)
 	if err != nil {
 		badRequest(w, err)
 		return
@@ -583,24 +300,26 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	sel, err := ParseSelection(r)
-	if err != nil {
-		badRequest(w, err)
-		return
-	}
+	withQuery("index", s.renderIndex)(w, r)
+}
+
+// renderIndex renders the front end for one selection.
+func (s *Server) renderIndex(w http.ResponseWriter, _ *http.Request, q Query) {
+	sel := q.Sel
 	iface := s.current()
 	data := indexData{
 		Title:    s.title,
 		Query:    sel.Query,
 		TermsRaw: strings.Join(sel.Terms, ","),
 		Total:    iface.MatchCount(sel),
+		Docs:     Summaries(iface, iface.Docs(sel), 15, sel.Query, localID),
 	}
 	urlFor := func(terms []string) string {
-		q := "/?terms=" + strings.Join(terms, ",")
+		v := url.Values{"terms": {strings.Join(terms, ",")}}
 		if sel.Query != "" {
-			q += "&q=" + sel.Query
+			v.Set("q", sel.Query)
 		}
-		return q
+		return "/?" + v.Encode()
 	}
 	for i, t := range sel.Terms {
 		rest := append(append([]string{}, sel.Terms[:i]...), sel.Terms[i+1:]...)
@@ -622,17 +341,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(data.Facets) > 40 {
 		data.Facets = data.Facets[:40]
-	}
-	for i, id := range iface.Docs(sel) {
-		if i >= 15 {
-			break
-		}
-		doc := iface.Corpus().Doc(id)
-		data.Docs = append(data.Docs, DocSummary{
-			ID: int(id), Title: doc.Title, Source: doc.Source,
-			Date:    doc.Date.Format("2006-01-02"),
-			Snippet: textdb.Snippet(doc, sel.Query, 24),
-		})
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_ = indexTemplate.Execute(w, data)

@@ -3,8 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"html"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +20,7 @@ import (
 // subsumption is the paper's hierarchy builder; the fixtures use it.
 var subsumption, _ = hierarchy.Lookup("subsumption")
 
-func testServer(t *testing.T, opts ...Option) *Server {
+func testServer(t testing.TB, opts ...Option) *Server {
 	t.Helper()
 	corpus := textdb.NewCorpus()
 	base := time.Date(2005, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -153,6 +156,21 @@ func TestIndexPage(t *testing.T) {
 	}
 	if rec := get(t, s, "/nonexistent"); rec.Code != http.StatusNotFound {
 		t.Fatal("unknown path should 404")
+	}
+	// Links keep a keyword query with URL metacharacters intact ("paris"
+	// is its one indexed token, so the page has facets to link).
+	const query = "AT&T #1 paris"
+	body = get(t, s, "/?q="+url.QueryEscape(query)).Body.String()
+	m := regexp.MustCompile(`<div class="facet"><a href="([^"]*)">`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("no facet link on the page for q=%q: %s", query, body)
+	}
+	link, err := url.Parse(html.UnescapeString(m[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := link.Query().Get("q"); got != query || link.Fragment != "" {
+		t.Fatalf("facet link %q carries q=%q fragment %q, want q=%q", m[1], got, link.Fragment, query)
 	}
 }
 
